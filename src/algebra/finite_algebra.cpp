@@ -79,17 +79,21 @@ SymbolicSpec FiniteAlgebra::symbolic() const {
   spec.signatures.assign(signatures_.begin(), signatures_.end());
   spec.preferences = preferences_;
   // Combined (+) entries: phi rows are skipped (s strictly-precedes phi by
-  // definition, so they impose no constraint; Section IV-C).
-  for (const std::string& label : labels_) {
-    for (const std::string& sig : signatures_) {
-      const Value l = Value::atom(label);
-      const Value s = Value::atom(sig);
-      const std::optional<Value> extended = combined_extend(l, s);
-      if (!extended.has_value()) continue;
-      spec.extensions.push_back(SymbolicSpec::Extension{
-          label, sig, extended->as_atom(),
-          label + " (+) " + sig + " = " + extended->as_atom()});
-    }
+  // definition, so they impose no constraint; Section IV-C). Only defined
+  // (+)_P entries can survive combined_extend, so walking the generation
+  // table and applying both filters costs the table's size, not
+  // |labels| x |signatures|. Its (label, sig) key order is the nested
+  // labels_ x signatures_ order, so extensions keep that order.
+  const auto allows = [](const std::map<TableKey, bool>& filter,
+                         const TableKey& key) {
+    const auto it = filter.find(key);
+    return it == filter.end() || it->second;
+  };
+  for (const auto& [key, result] : generation_) {
+    if (!allows(import_, key) || !allows(export_, key)) continue;
+    const auto& [label, sig] = key;
+    spec.extensions.push_back(SymbolicSpec::Extension{
+        label, sig, result, label + " (+) " + sig + " = " + result});
   }
   return spec;
 }

@@ -191,7 +191,7 @@ void AnalysisService::worker_loop(std::size_t worker) {
       job = std::move(queue.front());
       queue.pop_front();
     }
-    Response response = execute(job.id, job.request, cache, worker);
+    Response response = execute(job, cache, worker);
     completed_counter_.add(1);
     if (!response.error.empty()) errors_counter_.add(1);
     if (response.warm_session) {
@@ -209,8 +209,10 @@ void AnalysisService::worker_loop(std::size_t worker) {
   }
 }
 
-Response AnalysisService::execute(std::uint64_t id, const Request& request,
-                                  SessionCache& cache, std::size_t worker) {
+Response AnalysisService::execute(const Job& job, SessionCache& cache,
+                                  std::size_t worker) {
+  const std::uint64_t id = job.id;
+  const Request& request = job.request;
   Response response;
   response.id = id;
   response.kind = kind_of(request);
@@ -224,8 +226,12 @@ Response AnalysisService::execute(std::uint64_t id, const Request& request,
                     to_string(response.kind), id);
   const auto start = std::chrono::steady_clock::now();
   try {
-    validate(request);
-    response.fingerprint = fingerprint(request);
+    // enqueue() already fingerprinted the request. An empty routing
+    // fingerprint (stats/debug, or a payload fingerprint() rejected) is
+    // recomputed here: fingerprint() validates first, so a bad payload
+    // answers with its exact validation error.
+    response.fingerprint =
+        job.fingerprint.empty() ? fingerprint(request) : job.fingerprint;
 
     if (const auto* req = std::get_if<AnalyzeSafetyRequest>(&request)) {
       // Safety analysis stays on the stateless analyzer: its reports embed
@@ -233,9 +239,11 @@ Response AnalysisService::execute(std::uint64_t id, const Request& request,
       // cores), so serving them from a warm session could legitimately
       // pick a different minimal core — byte-stability wins over warmth.
       const SafetyAnalyzer analyzer(options_.analyzer);
-      const algebra::AlgebraPtr algebra =
-          req->algebra != nullptr ? req->algebra
-                                  : spp::algebra_from_spp(*req->spp);
+      algebra::AlgebraPtr algebra = req->algebra;
+      if (algebra == nullptr) {
+        const obs::Span translate_span("safety.translate");
+        algebra = spp::algebra_from_spp(*req->spp);
+      }
       response.safety = analyzer.analyze(*algebra);
     } else if (const auto* req = std::get_if<GroundTruthRequest>(&request)) {
       const groundtruth::Mode mode = req->mode.value_or(options_.ground_truth);
@@ -246,6 +254,7 @@ Response AnalysisService::execute(std::uint64_t id, const Request& request,
             cache.ensure(response.fingerprint, req->spp);
         response.warm_session = entry->oracle.has_value();
         if (!response.warm_session) {
+          const obs::Span build_span("session.build");
           entry->oracle.emplace(*entry->instance);
           sessions_built_counter_.add(1);
         }
@@ -272,22 +281,32 @@ Response AnalysisService::execute(std::uint64_t id, const Request& request,
       }
     } else if (const auto* req = std::get_if<RepairRequest>(&request)) {
       SessionCache::Entry* entry = cache.ensure(response.fingerprint, req->spp);
-      const bool gate_warm = entry->strict_gate.has_value();
-      if (!gate_warm) {
-        IncrementalSafetySession::Options gate_options;
-        gate_options.extract_models = false;  // gates branch on holds/core
-        entry->strict_gate.emplace(
-            spp::algebra_from_spp(*entry->instance)->symbolic(),
-            MonotonicityMode::strict, gate_options);
-        sessions_built_counter_.add(1);
+      // One translation per request, lent to both the cold gate build and
+      // the repair search. Kept off the cache entry: warm sessions stay
+      // the only per-entry state.
+      algebra::SymbolicSpec spec;
+      {
+        const obs::Span translate_span("safety.translate");
+        spec = spp::algebra_from_spp(*entry->instance)->symbolic();
       }
       repair::RepairSessions sessions;
+      sessions.spec = &spec;
+      const bool gate_warm = entry->strict_gate.has_value();
+      if (!gate_warm) {
+        const obs::Span build_span("session.build");
+        IncrementalSafetySession::Options gate_options;
+        gate_options.extract_models = false;  // gates branch on holds/core
+        entry->strict_gate.emplace(spec, MonotonicityMode::strict,
+                                   gate_options);
+        sessions_built_counter_.add(1);
+      }
       sessions.strict_gate = &*entry->strict_gate;
       bool oracle_warm = true;
       if (options_.repair.ground_truth == groundtruth::Mode::sat_search &&
           options_.repair.use_incremental_oracle) {
         oracle_warm = entry->oracle.has_value();
         if (!oracle_warm) {
+          const obs::Span build_span("session.build");
           entry->oracle.emplace(*entry->instance);
           sessions_built_counter_.add(1);
         }

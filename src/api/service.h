@@ -164,8 +164,7 @@ class AnalysisService {
   std::uint64_t enqueue(Request request,
                         std::function<void(Response)> deliver);
   void worker_loop(std::size_t worker);
-  Response execute(std::uint64_t id, const Request& request,
-                   SessionCache& cache, std::size_t worker);
+  Response execute(const Job& job, SessionCache& cache, std::size_t worker);
 
   ServiceOptions options_;
   netserve::ShardRouter router_;

@@ -325,7 +325,18 @@ void append_emulation(std::string& out, const EmulationResult& emu) {
 }  // namespace
 
 Request parse_request(const std::string& line) {
-  const json::Value body = json::parse(line);
+  return parse_request(json::parse(line));
+}
+
+std::optional<RequestKind> kind_hint(const json::Value& body) noexcept {
+  const json::Value* kind_value = body.find("kind");
+  if (kind_value == nullptr || kind_value->type() != json::Value::Type::string) {
+    return std::nullopt;
+  }
+  return parse_request_kind(kind_value->as_string("kind"));
+}
+
+Request parse_request(const json::Value& body) {
   const json::Value* kind_value = body.find("kind");
   if (kind_value == nullptr) {
     throw InvalidArgument("request needs a kind");

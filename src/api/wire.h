@@ -55,8 +55,10 @@
 #ifndef FSR_API_WIRE_H
 #define FSR_API_WIRE_H
 
+#include <optional>
 #include <string>
 
+#include "api/json.h"
 #include "api/request.h"
 
 namespace fsr::api::wire {
@@ -64,6 +66,16 @@ namespace fsr::api::wire {
 /// Parses one request line; throws fsr::InvalidArgument on malformed JSON
 /// or schema violations (fsr_serve answers those with an error response).
 Request parse_request(const std::string& line);
+
+/// The same over an already-parsed line, for front-ends that read the
+/// body's other fields (a client "id", a kind to attribute errors to) and
+/// so parse each line's JSON exactly once. Throws only schema violations.
+Request parse_request(const json::Value& body);
+
+/// Best-effort kind of a line that parsed as JSON but failed the schema:
+/// its "kind" when that is a string naming a request kind, else nullopt.
+/// Front-ends attribute their in-band error responses with it.
+std::optional<RequestKind> kind_hint(const json::Value& body) noexcept;
 
 struct RenderOptions {
   /// Adds the scheduling-dependent provenance fields. Output is then no

@@ -45,7 +45,12 @@ IncrementalSafetySession SafetyAnalyzer::open_incremental(
 MonotonicityReport SafetyAnalyzer::check_monotonicity(
     const algebra::RoutingAlgebra& algebra, MonotonicityMode mode) const {
   const algebra::SymbolicSpec spec = algebra.symbolic();
-  const SymbolTable symbols(spec.signatures);
+  return check_spec(spec, SymbolTable(spec.signatures), mode);
+}
+
+MonotonicityReport SafetyAnalyzer::check_spec(const algebra::SymbolicSpec& spec,
+                                              const SymbolTable& symbols,
+                                              MonotonicityMode mode) const {
   const Encoding enc = encode(spec, mode, symbols);
 
   MonotonicityReport report;
@@ -119,11 +124,15 @@ SafetyReport SafetyAnalyzer::analyze(
   const std::vector<const algebra::RoutingAlgebra*> factors =
       algebra.lexical_factors();
 
+  // Each factor's spec and symbol table are derived once and shared by its
+  // strict and plain checks.
   if (factors.empty()) {
     // Leaf algebra: strict check, then (on failure) the plain check that
     // tells the user whether a tie-breaking composition would rescue it.
+    const algebra::SymbolicSpec spec = algebra.symbolic();
+    const SymbolTable symbols(spec.signatures);
     MonotonicityReport strict =
-        check_monotonicity(algebra, MonotonicityMode::strict);
+        check_spec(spec, symbols, MonotonicityMode::strict);
     const bool strict_holds = strict.holds;
     report.checks.push_back(std::move(strict));
     if (strict_holds) {
@@ -134,7 +143,7 @@ SafetyReport SafetyAnalyzer::analyze(
       return report;
     }
     MonotonicityReport plain =
-        check_monotonicity(algebra, MonotonicityMode::plain);
+        check_spec(spec, symbols, MonotonicityMode::plain);
     const bool plain_holds = plain.holds;
     report.checks.push_back(std::move(plain));
     report.verdict = SafetyVerdict::not_provably_safe;
@@ -155,8 +164,10 @@ SafetyReport SafetyAnalyzer::analyze(
   // factor is strictly monotone with all earlier factors monotone.
   for (std::size_t i = 0; i < factors.size(); ++i) {
     const algebra::RoutingAlgebra& factor = *factors[i];
+    const algebra::SymbolicSpec spec = factor.symbolic();
+    const SymbolTable symbols(spec.signatures);
     MonotonicityReport strict =
-        check_monotonicity(factor, MonotonicityMode::strict);
+        check_spec(spec, symbols, MonotonicityMode::strict);
     const bool strict_holds = strict.holds;
     report.checks.push_back(std::move(strict));
     if (strict_holds) {
@@ -169,7 +180,7 @@ SafetyReport SafetyAnalyzer::analyze(
       return report;
     }
     MonotonicityReport plain =
-        check_monotonicity(factor, MonotonicityMode::plain);
+        check_spec(spec, symbols, MonotonicityMode::plain);
     const bool plain_holds = plain.holds;
     report.checks.push_back(std::move(plain));
     if (!plain_holds) {

@@ -31,6 +31,9 @@
 namespace fsr {
 
 class IncrementalSafetySession;
+namespace encoding {
+class SymbolTable;
+}  // namespace encoding
 
 enum class SafetyVerdict { safe, not_provably_safe };
 
@@ -115,6 +118,11 @@ class SafetyAnalyzer {
       bool incremental = true);
 
  private:
+  /// check_monotonicity over an already-derived spec and its symbol table.
+  MonotonicityReport check_spec(const algebra::SymbolicSpec& spec,
+                                const encoding::SymbolTable& symbols,
+                                MonotonicityMode mode) const;
+
   Options options_;
 };
 

@@ -1,10 +1,10 @@
 #include "netserve/connection.h"
 
+#include <optional>
 #include <utility>
 #include <variant>
 
 #include "api/json.h"
-#include "util/error.h"
 
 namespace fsr::netserve {
 
@@ -70,53 +70,38 @@ void Connection::accept_line(std::string line, bool oversized) {
     return;
   }
 
-  // Transport-level request id: an optional client-chosen unsigned
-  // integer, echoed on the response and opting this line into
-  // out-of-order completion. Extracted before the request parse so even
-  // a schema-invalid request (answered in-band below) echoes its id.
-  bool json_ok = false;
-  std::string id_error;
+  // Each line's JSON is parsed once; the transport id, the request and
+  // the error path's kind attribution all read the same body.
+  std::optional<api::json::Value> body;
   try {
-    const api::json::Value body = api::json::parse(line);
-    json_ok = true;
-    if (const api::json::Value* id_value = body.find("id")) {
+    body.emplace(api::json::parse(line));
+    // Transport-level request id: an optional client-chosen unsigned
+    // integer, echoed on the response and opting this line into
+    // out-of-order completion. Read before the request parse so even a
+    // schema-invalid request (answered in-band below) echoes its id. A
+    // malformed id (fractional, negative, non-numeric) is answered in-band
+    // too — parse_request would accept it (unknown keys are ignored), and
+    // silently dropping the client's correlation id would be worse.
+    if (const api::json::Value* id_value = body->find("id")) {
       slot.client_id = id_value->as_u64("id");
       slot.has_client_id = true;
     }
-  } catch (const std::exception& error) {
-    // Unparseable JSON falls through to parse_request, which answers with
-    // the real parse error. A line that DID parse but carries a malformed
-    // id (fractional, negative, non-numeric) fails here and is answered
-    // below — parse_request would accept it (unknown keys are ignored),
-    // and silently dropping the client's correlation id would be worse.
-    if (json_ok) id_error = error.what();
-  }
-
-  try {
-    if (!id_error.empty()) throw InvalidArgument(id_error);
-    slot.request = api::wire::parse_request(line);
+    slot.request = api::wire::parse_request(*body);
     slot.barrier = std::holds_alternative<api::StatsRequest>(slot.request) ||
                    std::holds_alternative<api::DebugRequest>(slot.request);
     slots_.push_back(std::move(slot));
-    return;
   } catch (const std::exception& error) {
     // Mirror the stdin front-end byte for byte: one in-band error response
-    // per failing line, "line N: " prefix, best-effort kind attribution,
+    // per failing line, "line N: " prefix, best-effort kind attribution
+    // (not even JSON: the default kind stands; the error text explains),
     // the service never touched.
-    try {
-      const api::json::Value body = api::json::parse(line);
-      if (const api::json::Value* kind_value = body.find("kind")) {
-        if (const auto kind =
-                api::parse_request_kind(kind_value->as_string("kind"))) {
-          slot.response.kind = *kind;
-        }
+    if (body.has_value()) {
+      if (const auto kind = api::wire::kind_hint(*body)) {
+        slot.response.kind = *kind;
       }
-    } catch (...) {
-      // Not even JSON: the default kind stands; the error text explains.
     }
-    const std::string& what = id_error.empty() ? error.what() : id_error;
     slot.response.error =
-        "line " + std::to_string(line_number_) + ": " + what;
+        "line " + std::to_string(line_number_) + ": " + error.what();
     slot.state = Slot::State::done;
     slots_.push_back(std::move(slot));
   }

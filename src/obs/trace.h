@@ -133,6 +133,10 @@ class Span {
 
   /// Attach a key/value to the span (rendered in the trace's args object).
   void arg(const char* key, const std::string& value);
+  /// String literals would otherwise convert to bool, not std::string.
+  void arg(const char* key, const char* value) {
+    arg(key, std::string(value));
+  }
   void arg(const char* key, std::uint64_t value);
   void arg(const char* key, std::int64_t value);
   void arg(const char* key, int value) {

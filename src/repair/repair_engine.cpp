@@ -105,7 +105,10 @@ class Search {
       : instance_(instance),
         options_(options),
         seed_(seed),
-        spec_(spp::algebra_from_spp(instance)->symbolic()),
+        spec_(sessions.spec != nullptr
+                  ? *sessions.spec
+                  : own_spec_.emplace(
+                        spp::algebra_from_spp(instance)->symbolic())),
         gate_(sessions.strict_gate) {
     // Snapshot the borrowed gate's lifetime counter NOW so every gate
     // query this run issues — however many future search shapes need — is
@@ -710,7 +713,8 @@ class Search {
   const spp::SppInstance& instance_;
   const RepairOptions& options_;
   std::uint64_t seed_;
-  algebra::SymbolicSpec spec_;
+  std::optional<algebra::SymbolicSpec> own_spec_;  // when none was lent
+  const algebra::SymbolicSpec& spec_;
   // Borrowed read-only gate session (see RepairSessions); answers the
   // initial check so the mutable search session below can stay unbuilt
   // until a candidate actually needs a re-check.

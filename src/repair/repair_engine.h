@@ -154,10 +154,13 @@ std::string render_text(const RepairReport& report);
 /// Caller-owned solver state a repair run may borrow instead of building
 /// its own — the hook the fsr::api service layer uses to keep warm sessions
 /// alive ACROSS requests (extending the within-one-run amortisation to the
-/// whole service lifetime). Both pointers are optional and independent.
+/// whole service lifetime). All pointers are optional and independent.
 ///
 /// Contract (what keeps borrowed-session reports byte-identical to the
 /// self-built path, a tested property):
+///   * `spec` must be spp::algebra_from_spp(instance)->symbolic() for
+///     exactly this instance — lent so a caller that already translated
+///     the instance (say, to build `strict_gate`) does not pay for it twice.
 ///   * `strict_gate` must be a strict-mode session over exactly this
 ///     instance's translated spec that has only ever answered plain
 ///     check({}) queries — never make_variable — so its verdict/core is the
@@ -174,6 +177,7 @@ std::string render_text(const RepairReport& report);
 ///     report are per-run deltas. Used only when options select the
 ///     sat-search oracle with use_incremental_oracle.
 struct RepairSessions {
+  const algebra::SymbolicSpec* spec = nullptr;
   IncrementalSafetySession* strict_gate = nullptr;
   groundtruth::StableSatSession* oracle = nullptr;
 };

@@ -3,10 +3,16 @@
 // Gao-Rexford tables), additive algebras, and lexical products.
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "algebra/additive_algebra.h"
 #include "algebra/finite_algebra.h"
 #include "algebra/lexical_product.h"
 #include "algebra/standard_policies.h"
+#include "campaign/scenario_source.h"
+#include "spp/gadgets.h"
+#include "spp/translate.h"
 #include "util/error.h"
 
 namespace fsr::algebra {
@@ -271,6 +277,109 @@ TEST(BandwidthClasses, NotStrictlyMonotone) {
     if (ext.from_sig == ext.to_sig) has_fixed_point = true;
   }
   EXPECT_TRUE(has_fixed_point);
+}
+
+// ------------------------------------------------- symbolic() extensions --
+
+using ExtensionRow =
+    std::tuple<std::string, std::string, std::string, std::string>;
+
+std::vector<ExtensionRow> rows(
+    const std::vector<SymbolicSpec::Extension>& extensions) {
+  std::vector<ExtensionRow> out;
+  for (const auto& ext : extensions) {
+    out.emplace_back(ext.label, ext.from_sig, ext.to_sig, ext.provenance);
+  }
+  return out;
+}
+
+// Reference oracle: the original symbolic() derivation, which asks
+// combined_extend about every label x signature pair.
+std::vector<ExtensionRow> reference_extensions(const FiniteAlgebra& algebra) {
+  std::vector<ExtensionRow> out;
+  for (const std::string& label : algebra.labels()) {
+    for (const std::string& sig : algebra.signatures()) {
+      const std::optional<Value> extended =
+          algebra.combined_extend(A(label.c_str()), A(sig.c_str()));
+      if (!extended.has_value()) continue;
+      const std::string& to = extended->as_atom();
+      out.emplace_back(label, sig, to, label + " (+) " + sig + " = " + to);
+    }
+  }
+  return out;
+}
+
+/// Compares every FiniteAlgebra factor of `algebra` against the oracle;
+/// returns how many factors were compared.
+int expect_oracle_extensions(const RoutingAlgebra& algebra) {
+  std::vector<const RoutingAlgebra*> factors = algebra.lexical_factors();
+  if (factors.empty()) factors.push_back(&algebra);
+  int compared = 0;
+  for (const RoutingAlgebra* factor : factors) {
+    const auto* finite = dynamic_cast<const FiniteAlgebra*>(factor);
+    if (finite == nullptr) continue;
+    EXPECT_EQ(rows(finite->symbolic().extensions),
+              reference_extensions(*finite))
+        << finite->name();
+    ++compared;
+  }
+  return compared;
+}
+
+/// True when some defined (+)_P entry is dropped by a filter — what makes
+/// a policy exercise the filter half of symbolic().
+bool filters_drop_an_entry(const FiniteAlgebra& algebra) {
+  for (const std::string& label : algebra.labels()) {
+    for (const std::string& sig : algebra.signatures()) {
+      const Value l = A(label.c_str());
+      const Value s = A(sig.c_str());
+      if (algebra.extend(l, s).has_value() &&
+          !algebra.combined_extend(l, s).has_value()) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+TEST(SymbolicSpec, StandardPoliciesMatchTheLabelBySignatureWalk) {
+  for (const AlgebraPtr& filtered :
+       {gao_rexford_guideline_a(), gao_rexford_guideline_b(),
+        backup_routing()}) {
+    SCOPED_TRACE(filtered->name());
+    const auto* finite = dynamic_cast<const FiniteAlgebra*>(filtered.get());
+    ASSERT_NE(finite, nullptr);
+    EXPECT_TRUE(filters_drop_an_entry(*finite));
+    EXPECT_EQ(expect_oracle_extensions(*filtered), 1);
+  }
+  EXPECT_EQ(expect_oracle_extensions(*bandwidth_classes({10, 100, 1000})), 1);
+  EXPECT_EQ(expect_oracle_extensions(*widest_shortest({10, 100, 1000})), 1);
+  EXPECT_EQ(expect_oracle_extensions(*gao_rexford_with_hop_count()), 1);
+}
+
+TEST(SymbolicSpec, GadgetTranslationsMatchTheLabelBySignatureWalk) {
+  std::vector<spp::SppInstance> gadgets = {
+      spp::good_gadget(), spp::bad_gadget(), spp::disagree_gadget(),
+      spp::ibgp_figure3_gadget(), spp::ibgp_figure3_fixed()};
+  for (const int length : {1, 2, 4, 8, 16}) {
+    gadgets.push_back(spp::good_gadget_chain(length));
+    gadgets.push_back(spp::bad_gadget_chain(length));
+  }
+  for (const spp::SppInstance& gadget : gadgets) {
+    EXPECT_EQ(expect_oracle_extensions(*spp::algebra_from_spp(gadget)), 1)
+        << gadget.name();
+  }
+}
+
+TEST(SymbolicSpec, RandomTranslationsMatchTheLabelBySignatureWalk) {
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    campaign::RandomSppSweep sweep;
+    sweep.min_nodes = sweep.max_nodes = 3 + static_cast<int>(seed % 12);
+    const spp::SppInstance instance = campaign::random_spp_instance(
+        "random-" + std::to_string(seed), seed, sweep);
+    EXPECT_EQ(expect_oracle_extensions(*spp::algebra_from_spp(instance)), 1)
+        << instance.name();
+  }
 }
 
 }  // namespace

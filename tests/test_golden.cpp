@@ -1,7 +1,13 @@
-// Golden repair corpus: the full gadget library's fsr_repair JSON,
-// snapshotted under tests/golden/ and diffed byte-exactly on every run —
-// any drift in the search, the ranking, the oracle verdicts, or the JSON
-// rendering fails loudly here before it reaches a user.
+// Golden corpora, snapshotted under tests/golden/ and diffed byte-exactly
+// on every run — any drift in the search, the ranking, the oracle
+// verdicts, the safety encoding, or the JSON rendering fails loudly here
+// before it reaches a user:
+//
+//   *.repair.json  the full gadget library's fsr_repair JSON;
+//   *.safety.json  fsr_serve's analyze-safety response line for every
+//                  gadget, every standard policy, and seeded random
+//                  instances (some at the 10-14 node sizes the
+//                  engine-mixed load uses).
 //
 // Regenerating after an INTENDED change (review the diff before
 // committing!):
@@ -18,6 +24,8 @@
 #include <utility>
 #include <vector>
 
+#include "api/service.h"
+#include "api/wire.h"
 #include "repair/repair_engine.h"
 #include "spp/gadgets.h"
 
@@ -44,30 +52,80 @@ std::vector<std::pair<std::string, spp::SppInstance>> corpus() {
   return out;
 }
 
+/// Diffs `rendered` against tests/golden/`file`, or (re)writes the
+/// snapshot under FSR_UPDATE_GOLDEN.
+void expect_matches_snapshot(const std::string& rendered,
+                             const std::string& file) {
+  const std::string path = std::string(FSR_GOLDEN_DIR) + "/" + file;
+  if (std::getenv("FSR_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << rendered;
+    return;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good())
+      << "missing golden snapshot " << path
+      << " — generate it with FSR_UPDATE_GOLDEN=1 ./build/test_golden";
+  std::ostringstream disk;
+  disk << in.rdbuf();
+  EXPECT_EQ(rendered, disk.str())
+      << file << " drifted from its snapshot; if the change is intended, "
+         "regenerate with FSR_UPDATE_GOLDEN=1 ./build/test_golden and review "
+         "the diff";
+}
+
 TEST(GoldenRepair, ReportsMatchTheSnapshots) {
-  const bool update = std::getenv("FSR_UPDATE_GOLDEN") != nullptr;
   const RepairEngine engine;  // default options = the documented behaviour
   for (const auto& [name, instance] : corpus()) {
     SCOPED_TRACE(name);
-    const std::string rendered = to_json(engine.repair(instance, k_seed));
-    const std::string path =
-        std::string(FSR_GOLDEN_DIR) + "/" + name + ".repair.json";
-    if (update) {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      ASSERT_TRUE(out.good()) << "cannot write " << path;
-      out << rendered;
-      continue;
-    }
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in.good())
-        << "missing golden snapshot " << path
-        << " — generate it with FSR_UPDATE_GOLDEN=1 ./build/test_golden";
-    std::ostringstream disk;
-    disk << in.rdbuf();
-    EXPECT_EQ(rendered, disk.str())
-        << "repair report drifted from its snapshot; if the change is "
-           "intended, regenerate with FSR_UPDATE_GOLDEN=1 ./build/test_golden "
-           "and review the diff";
+    expect_matches_snapshot(to_json(engine.repair(instance, k_seed)),
+                            name + ".repair.json");
+  }
+}
+
+/// (snapshot name, analyze-safety payload) over the wire.
+std::vector<std::pair<std::string, std::string>> safety_corpus() {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const char* gadget :
+       {"good", "bad", "disagree", "ibgp-figure3", "ibgp-figure3-fixed",
+        "good-chain-2", "good-chain-4", "good-chain-8", "bad-chain-2",
+        "bad-chain-4", "bad-chain-8", "bad-chain-16"}) {
+    out.emplace_back(gadget, std::string("\"gadget\": \"") + gadget + "\"");
+  }
+  for (const char* policy :
+       {"guideline-a", "guideline-b", "backup", "bandwidth",
+        "widest-shortest", "gao-rexford-hop-count"}) {
+    out.emplace_back(std::string("policy-") + policy,
+                     std::string("\"policy\": \"") + policy + "\"");
+  }
+  for (const int seed : {1, 2, 3, 4}) {
+    out.emplace_back("random-" + std::to_string(seed),
+                     "\"random\": {\"seed\": " + std::to_string(seed) + "}");
+  }
+  // The engine-mixed load's sizes (loadbench/workloads.py).
+  for (const auto& [seed, nodes] :
+       std::vector<std::pair<int, int>>{{1001, 10}, {1002, 11}, {1003, 12},
+                                        {1004, 14}}) {
+    const std::string n = std::to_string(nodes);
+    out.emplace_back("random-" + std::to_string(seed) + "-n" + n,
+                     "\"random\": {\"seed\": " + std::to_string(seed) +
+                         ", \"min_nodes\": " + n + ", \"max_nodes\": " + n +
+                         "}");
+  }
+  return out;
+}
+
+TEST(GoldenSafety, ResponsesMatchTheSnapshots) {
+  api::AnalysisService service;  // default options = fsr_serve's defaults
+  for (const auto& [name, payload] : safety_corpus()) {
+    SCOPED_TRACE(name);
+    api::Response response = service.call(api::wire::parse_request(
+        "{\"kind\": \"analyze-safety\", " + payload + "}"));
+    ASSERT_TRUE(response.error.empty()) << response.error;
+    response.id = 0;  // each snapshot stands alone, whatever the corpus order
+    expect_matches_snapshot(api::wire::render_response(response) + "\n",
+                            name + ".safety.json");
   }
 }
 

@@ -24,6 +24,8 @@
 #include <vector>
 
 #include "api/json.h"
+#include "api/service.h"
+#include "api/wire.h"
 #include "groundtruth/sat_solver.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -168,6 +170,54 @@ TEST(Trace, SpansRecordWithArgsAndNesting) {
   }
   EXPECT_LE(outer_start, inner_start);
   EXPECT_LE(inner_end, outer_end);
+}
+
+TEST(Trace, StringLiteralArgsRenderAsStrings) {
+  // A const char* must not decay to the bool overload.
+  Tracer local;
+  install_tracer(&local);
+  {
+    Span span("test_obs.literal");
+    span.arg("kind", "analyze-safety");
+  }
+  install_tracer(nullptr);
+  const api::json::Value parsed = api::json::parse(local.chrome_trace_json());
+  for (const api::json::Value& event :
+       parsed.find("traceEvents")->as_array("traceEvents")) {
+    if (event.find("name")->as_string("name") != "test_obs.literal") continue;
+    EXPECT_EQ(event.find("args")->find("kind")->as_string("kind"),
+              "analyze-safety");
+    return;
+  }
+  FAIL() << "span test_obs.literal missing from the trace";
+}
+
+TEST(Trace, ServiceExecuteSpansNameTheKindAndTheDerivationSteps) {
+  Tracer local;
+  install_tracer(&local);
+  {
+    api::AnalysisService service;
+    for (const char* line : {R"({"kind": "analyze-safety", "gadget": "bad"})",
+                             R"({"kind": "repair", "gadget": "bad"})"}) {
+      ASSERT_TRUE(service.call(api::wire::parse_request(line)).error.empty());
+    }
+  }
+  install_tracer(nullptr);
+  const api::json::Value parsed = api::json::parse(local.chrome_trace_json());
+  std::vector<std::string> kinds;
+  std::size_t translates = 0, builds = 0;
+  for (const api::json::Value& event :
+       parsed.find("traceEvents")->as_array("traceEvents")) {
+    const std::string name = event.find("name")->as_string("name");
+    if (name == "service.execute") {
+      kinds.push_back(event.find("args")->find("kind")->as_string("kind"));
+    }
+    if (name == "safety.translate") ++translates;
+    if (name == "session.build") ++builds;
+  }
+  EXPECT_EQ(kinds, (std::vector<std::string>{"analyze-safety", "repair"}));
+  EXPECT_EQ(translates, 2u);  // one per request
+  EXPECT_EQ(builds, 2u);      // the repair's cold strict gate and oracle
 }
 
 TEST(Trace, SpanBoundAtConstructionSurvivesUninstall) {

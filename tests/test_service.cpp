@@ -445,30 +445,37 @@ TEST(Service, SessionCacheCapacityBoundsAndEvicts) {
 
 TEST(Service, BorrowedSessionsMatchSelfBuiltReportBytes) {
   // The RepairSessions contract, head on: a report computed against
-  // caller-owned (then reused, warm) sessions is byte-identical to the
-  // engine building everything itself — including the already-safe gate
-  // path ("good") and the oracle-heavy chains.
+  // caller-owned (then reused, warm) sessions — with and without a lent
+  // spec, the service's shape — is byte-identical to the engine building
+  // everything itself, including the already-safe gate path ("good") and
+  // the oracle-heavy chains.
   const repair::RepairEngine engine;
   for (const char* name : {"good", "bad", "disagree", "ibgp-figure3",
                            "bad-chain-4", "bad-chain-8"}) {
     const spp::SppInstance instance = spp::gadget_by_name(name);
     const std::string self_built = repair::to_json(engine.repair(instance, 7));
 
-    IncrementalSafetySession::Options gate_options;
-    gate_options.extract_models = false;
-    IncrementalSafetySession gate(
-        spp::algebra_from_spp(instance)->symbolic(), MonotonicityMode::strict,
-        gate_options);
-    groundtruth::StableSatSession oracle(instance);
-    repair::RepairSessions sessions;
-    sessions.strict_gate = &gate;
-    sessions.oracle = &oracle;
-    EXPECT_EQ(repair::to_json(engine.repair(instance, 7, sessions)),
-              self_built)
-        << name << " (cold borrowed sessions)";
-    EXPECT_EQ(repair::to_json(engine.repair(instance, 7, sessions)),
-              self_built)
-        << name << " (warm borrowed sessions)";
+    const algebra::SymbolicSpec spec =
+        spp::algebra_from_spp(instance)->symbolic();
+    for (const bool lend_spec : {false, true}) {
+      IncrementalSafetySession::Options gate_options;
+      gate_options.extract_models = false;
+      IncrementalSafetySession gate(spec, MonotonicityMode::strict,
+                                    gate_options);
+      groundtruth::StableSatSession oracle(instance);
+      repair::RepairSessions sessions;
+      sessions.spec = lend_spec ? &spec : nullptr;
+      sessions.strict_gate = &gate;
+      sessions.oracle = &oracle;
+      EXPECT_EQ(repair::to_json(engine.repair(instance, 7, sessions)),
+                self_built)
+          << name << " (cold borrowed sessions, lent spec " << lend_spec
+          << ")";
+      EXPECT_EQ(repair::to_json(engine.repair(instance, 7, sessions)),
+                self_built)
+          << name << " (warm borrowed sessions, lent spec " << lend_spec
+          << ")";
+    }
   }
 }
 
