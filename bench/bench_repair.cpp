@@ -168,8 +168,8 @@ int main(int argc, char** argv) {
     incremental_total += inc_ms;
     scratch_total += scr_ms;
     metrics["repair_" + name + "_speedup"] = scr_ms / inc_ms;
-    IncrementalSafetySession probe = SafetyAnalyzer::open_incremental(
-        *algebra, MonotonicityMode::strict);
+    const IncrementalSafetySession probe(algebra->symbolic(),
+                                         MonotonicityMode::strict);
     bench::print_row({name, std::to_string(probe.constraint_count()),
                       fmt(inc_ms), fmt(scr_ms), fmt(scr_ms / inc_ms, "x"),
                       fmt(1000.0 * k_recheck_rounds / inc_ms)},

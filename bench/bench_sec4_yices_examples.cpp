@@ -1,5 +1,8 @@
 // Section IV-C — the three worked solver examples, run through the
-// textual Yices-style pipeline exactly as the paper presents them:
+// textual Yices-style pipeline exactly as the paper presents them: each
+// emitted script is replayed through smt::YicesFrontend, whose transcript
+// is printed and must agree with the analyzer's own verdict (exit 1 if
+// not).
 //
 //   1. shortest hop-count          -> sat
 //   2. Gao-Rexford guideline A:
@@ -13,21 +16,32 @@
 #include "algebra/standard_policies.h"
 #include "bench_util.h"
 #include "fsr/safety_analyzer.h"
+#include "smt/yices_frontend.h"
 #include "spp/gadgets.h"
 #include "spp/translate.h"
 #include "util/strings.h"
 
 namespace {
 
+bool replays_agree = true;
+
 void show_check(const fsr::MonotonicityReport& report) {
   std::printf("-- emitted script --\n%s", report.yices_script.c_str());
-  std::printf("-- solver --\n%s", report.holds ? "sat\n" : "unsat\n");
-  if (report.holds) {
-    for (const auto& [name, value] : report.model.values) {
-      std::printf("(= %s %ld)\n", name.c_str(), static_cast<long>(value));
-    }
-  } else {
-    std::printf("unsat core (%zu constraints):\n", report.unsat_core.size());
+  fsr::smt::YicesFrontend frontend;
+  const fsr::smt::ScriptResult replay =
+      frontend.run_script(report.yices_script);
+  std::printf("-- solver (script replay) --\n");
+  for (const std::string& line : replay.transcript) {
+    std::printf("%s\n", line.c_str());
+  }
+  if ((replay.single_check().status == fsr::smt::Status::sat) !=
+      report.holds) {
+    std::printf("REPLAY DISAGREES with the analyzer verdict\n");
+    replays_agree = false;
+  }
+  if (!report.holds) {
+    std::printf("core mapped to policy (%zu constraints):\n",
+                report.unsat_core.size());
     for (const auto& prov : report.unsat_core) {
       std::printf("  %s   [%s]\n", prov.constraint.c_str(),
                   prov.description.c_str());
@@ -73,5 +87,5 @@ int main() {
   const auto fixed_check =
       analyzer.check_monotonicity(*fixed, fsr::MonotonicityMode::strict);
   std::printf("verdict: %s\n", fixed_check.holds ? "sat (safe)" : "unsat");
-  return 0;
+  return replays_agree ? 0 : 1;
 }

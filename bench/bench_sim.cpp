@@ -16,11 +16,14 @@
 // ablation: sim_hash_speedup — the PR-8 full-canonicalisation detector's
 // wall clock over the incremental-hash + Brent detector's on the x16
 // oscillation workload — IS gated (sim_hash_speedup_min in
-// bench/thresholds.json). A speedup ratio of two same-machine runs cancels
-// runner noise, and the incremental detector regressing to canonical cost
-// is exactly the regression this PR exists to prevent.
+// bench/thresholds.json). It is the median of 5 alternating
+// canonical/incremental pairs: a ratio of two same-machine runs cancels
+// most runner noise, and the median of adjacent pairs discards the pass a
+// noisy neighbour happened to hit. The incremental detector regressing to
+// canonical cost is exactly the regression the gate exists to catch.
 //
 //   bench_sim [--json FILE] [--check THRESHOLDS]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -144,15 +147,29 @@ int main(int argc, char** argv) {
 
   bench::print_banner(
       "detector ablation: canonicalisation vs incremental hash, "
-      "bad-chain-x16, 32 seeds");
+      "bad-chain-x16, 32 seeds, median of 5 pairs");
   bench::print_row({"detector", "osc", "wall ms", "speedup"}, 15);
   {
     const fsr::spp::SppInstance big_bad = fsr::spp::bad_gadget_chain(16);
     // Warm-up pass so neither detector pays first-touch allocator costs.
     (void)sweep(big_bad, "steady");
-    const SweepStats canonical = sweep(big_bad, "steady", "canonical");
-    const SweepStats incremental = sweep(big_bad, "steady", "incremental");
-    const double speedup = canonical.wall_ms / incremental.wall_ms;
+    // Median pair by speedup; its two sweeps are the ones printed.
+    constexpr int k_pairs = 5;
+    std::vector<std::pair<SweepStats, SweepStats>> pairs;
+    for (int i = 0; i < k_pairs; ++i) {
+      // Braced initialisers evaluate left to right: canonical runs first.
+      pairs.push_back({sweep(big_bad, "steady", "canonical"),
+                       sweep(big_bad, "steady", "incremental")});
+    }
+    const auto ratio = [](const std::pair<SweepStats, SweepStats>& pair) {
+      return pair.first.wall_ms / pair.second.wall_ms;
+    };
+    std::nth_element(pairs.begin(), pairs.begin() + k_pairs / 2, pairs.end(),
+                     [&](const auto& a, const auto& b) {
+                       return ratio(a) < ratio(b);
+                     });
+    const auto& [canonical, incremental] = pairs[k_pairs / 2];
+    const double speedup = ratio(pairs[k_pairs / 2]);
     bench::print_row({"canonical",
                       std::to_string(canonical.oscillating) + "/" +
                           std::to_string(canonical.runs),

@@ -5,11 +5,13 @@
 //   * unsatisfiable rings (worst-case negative-cycle detection),
 //   * SPP-derived systems (the Figure-3 instance and the Rocketfuel-like
 //     extraction),
-//   * unsat-core minimisation on vs off (deletion pass cost).
+//   * unsat-core minimisation on vs off (deletion pass cost),
+//   * the textual Yices round trip next to the analyzer's direct check.
 #include <benchmark/benchmark.h>
 
 #include "fsr/safety_analyzer.h"
 #include "smt/context.h"
+#include "smt/yices_frontend.h"
 #include "spp/gadgets.h"
 #include "spp/translate.h"
 #include "topology/rocketfuel.h"
@@ -85,18 +87,21 @@ void bm_rocketfuel_analysis(benchmark::State& state) {
 }
 BENCHMARK(bm_rocketfuel_analysis);
 
+// The paper's textual pipeline: parse and solve the emitted Figure-3 script
+// through the Yices frontend. bm_figure3_analysis times the analyzer's own
+// check_monotonicity (encode, render, assert terms, solve) on the same
+// algebra, so the pair shows what the text round trip costs.
 void bm_yices_text_roundtrip(benchmark::State& state) {
   const auto algebra =
       fsr::spp::algebra_from_spp(fsr::spp::ibgp_figure3_gadget());
-  fsr::SafetyAnalyzer::Options direct;
-  direct.via_textual_pipeline = false;
-  const fsr::SafetyAnalyzer textual;  // default: textual pipeline
-  const fsr::SafetyAnalyzer api(direct);
+  const std::string script =
+      fsr::SafetyAnalyzer()
+          .check_monotonicity(*algebra, fsr::MonotonicityMode::strict)
+          .yices_script;
   for (auto _ : state) {
-    // Measures the overhead of emit -> parse -> solve over the direct API.
+    fsr::smt::YicesFrontend frontend;
     benchmark::DoNotOptimize(
-        textual.check_monotonicity(*algebra, fsr::MonotonicityMode::strict)
-            .holds);
+        frontend.run_script(script).single_check().status);
   }
 }
 BENCHMARK(bm_yices_text_roundtrip);

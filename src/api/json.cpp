@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <unordered_set>
 
 #include "util/error.h"
 
@@ -32,6 +33,8 @@ const char* type_name(Value::Type type) noexcept {
   throw InvalidArgument("json: " + where + " must be a " + wanted +
                         ", not a " + type_name(got));
 }
+
+constexpr std::size_t kScannedKeys = 16;
 
 class Parser {
  public:
@@ -81,8 +84,16 @@ class Parser {
   Value parse_value() {
     skip_whitespace();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxNestingDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxNestingDepth) +
+             " levels");
+      }
+      ++depth_;
+      Value value = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return value;
+    }
     if (c == '"') return Value::make_string(parse_string());
     if (c == 't') {
       if (!consume_literal("true")) fail("bad literal");
@@ -103,6 +114,7 @@ class Parser {
   Value parse_object() {
     expect('{');
     std::vector<std::pair<std::string, Value>> members;
+    std::unordered_set<std::string> keys;  // filled past kScannedKeys only
     skip_whitespace();
     if (peek() == '}') {
       ++at_;
@@ -111,6 +123,21 @@ class Parser {
     while (true) {
       skip_whitespace();
       std::string key = parse_string();
+      // Wire objects hold a handful of keys, so a scan finds a repeat; past
+      // kScannedKeys a hash set keeps a line of many keys from going
+      // quadratic.
+      bool repeated = false;
+      if (members.size() < kScannedKeys) {
+        for (const auto& member : members) {
+          repeated = repeated || member.first == key;
+        }
+      } else {
+        if (keys.empty()) {
+          for (const auto& member : members) keys.insert(member.first);
+        }
+        repeated = !keys.insert(key).second;
+      }
+      if (repeated) fail("duplicate object key '" + key + "'");
       skip_whitespace();
       expect(':');
       members.emplace_back(std::move(key), parse_value());
@@ -265,6 +292,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t at_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

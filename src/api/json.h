@@ -4,10 +4,12 @@
 // Scope: full JSON syntax (objects, arrays, strings with escapes, numbers,
 // booleans, null) with object member ORDER PRESERVED; numbers are held as
 // doubles plus the exact integer when the literal is integral, which is
-// all the wire layer needs (ids, seeds, small budgets). This is a reader
-// for trusted-operator input, not a streaming parser: inputs are single
-// request lines, and any syntax error throws fsr::InvalidArgument with a
-// byte offset so the CLI can report the offending line precisely.
+// all the wire layer needs (ids, seeds, small budgets). Inputs are single
+// request lines from untrusted clients: nesting is capped at
+// kMaxNestingDepth (the parser recurses once per level), an object may not
+// repeat a key, and any violation or syntax error throws
+// fsr::InvalidArgument with a byte offset so the front end answers the
+// offending line in-band.
 //
 // Rendering stays out of scope on purpose: responses are rendered by
 // purpose-built writers (wire.cpp) because byte-stable output — field
@@ -22,6 +24,11 @@
 #include <vector>
 
 namespace fsr::api::json {
+
+/// Deepest array/object nesting parse() accepts. Wire requests nest at
+/// most four levels (an inline SPP's path list); the cap keeps a hostile
+/// line of thousands of '[' from exhausting the stack.
+inline constexpr int kMaxNestingDepth = 64;
 
 class Value {
  public:
@@ -42,8 +49,8 @@ class Value {
   const std::vector<std::pair<std::string, Value>>& as_object(
       const std::string& where) const;
 
-  /// Object member lookup (first match); nullptr when absent or not an
-  /// object.
+  /// Object member lookup (parse() rejects duplicate keys); nullptr when
+  /// absent or not an object.
   const Value* find(const std::string& key) const noexcept;
 
   // Construction is the parser's business; tests may use these directly.
@@ -67,7 +74,8 @@ class Value {
 
 /// Parses exactly one JSON value from `text` (surrounding whitespace
 /// allowed, trailing garbage rejected). Throws fsr::InvalidArgument on any
-/// syntax error.
+/// syntax error, on nesting deeper than kMaxNestingDepth, and on a
+/// duplicate key within one object.
 Value parse(const std::string& text);
 
 }  // namespace fsr::api::json

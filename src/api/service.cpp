@@ -235,10 +235,11 @@ Response AnalysisService::execute(const Job& job, SessionCache& cache,
 
     if (const auto* req = std::get_if<AnalyzeSafetyRequest>(&request)) {
       // Safety analysis stays on the stateless analyzer: its reports embed
-      // solver-path artifacts (scripts, witness models, textual-pipeline
-      // cores), so serving them from a warm session could legitimately
-      // pick a different minimal core — byte-stability wins over warmth.
-      const SafetyAnalyzer analyzer(options_.analyzer);
+      // solver-path artifacts (scripts, normalised witness models,
+      // from-scratch minimal cores), so serving them from a warm session
+      // could legitimately pick a different minimal core — byte-stability
+      // wins over warmth.
+      const SafetyAnalyzer analyzer;
       algebra::AlgebraPtr algebra = req->algebra;
       if (algebra == nullptr) {
         const obs::Span translate_span("safety.translate");

@@ -22,7 +22,6 @@ namespace {
 api::ServiceOptions service_options(const CampaignOptions& options) {
   api::ServiceOptions service;
   service.threads = options.threads;
-  service.analyzer = options.analyzer;
   service.repair = options.repair;
   service.emulation = options.emulation;
   service.sim = options.sim;

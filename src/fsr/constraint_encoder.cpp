@@ -1,6 +1,7 @@
 #include "fsr/constraint_encoder.h"
 
 #include <cctype>
+#include <utility>
 
 #include "util/error.h"
 
@@ -50,45 +51,78 @@ const char* relation_spelling(algebra::PrefRel rel) {
   return "<";
 }
 
+smt::Term relation_term(algebra::PrefRel rel, smt::Term lhs, smt::Term rhs) {
+  switch (rel) {
+    case algebra::PrefRel::strictly_better:
+      return smt::Term::lt(std::move(lhs), std::move(rhs));
+    case algebra::PrefRel::equal:
+      return smt::Term::eq(std::move(lhs), std::move(rhs));
+    case algebra::PrefRel::better_or_equal:
+      return smt::Term::le(std::move(lhs), std::move(rhs));
+  }
+  return smt::Term::lt(std::move(lhs), std::move(rhs));
+}
+
 Encoding encode(const algebra::SymbolicSpec& spec, MonotonicityMode mode,
                 const SymbolTable& symbols) {
   Encoding enc;
-  const char* mono_rel = mode == MonotonicityMode::strict ? "<" : "<=";
+  const algebra::PrefRel mono = mode == MonotonicityMode::strict
+                                    ? algebra::PrefRel::strictly_better
+                                    : algebra::PrefRel::better_or_equal;
+  // One atom `lhs rel rhs`: line and term over solver symbols, shape over
+  // the original names.
+  const auto relation = [&](ConstraintProvenance::Kind kind,
+                            const std::string& provenance,
+                            algebra::PrefRel rel, const std::string& lhs,
+                            const std::string& rhs) {
+    const std::string& lhs_symbol = symbols.symbol(lhs);
+    const std::string& rhs_symbol = symbols.symbol(rhs);
+    const std::string spelling = relation_spelling(rel);
+    enc.provenance.push_back(ConstraintProvenance{
+        kind, provenance,
+        "(" + spelling + " " + lhs_symbol + " " + rhs_symbol + ")"});
+    enc.terms.push_back(relation_term(rel, smt::Term::variable(lhs_symbol),
+                                      smt::Term::variable(rhs_symbol)));
+    enc.shapes.push_back(RelationShape{spelling, lhs, rhs});
+  };
 
   // Step 2: one constraint per declared preference.
   for (const auto& pref : spec.preferences) {
-    const std::string line = "(" + std::string(relation_spelling(pref.rel)) +
-                             " " + symbols.symbol(pref.lhs) + " " +
-                             symbols.symbol(pref.rhs) + ")";
-    enc.assert_lines.push_back(line);
-    enc.provenance.push_back(
-        ConstraintProvenance{ConstraintProvenance::Kind::preference,
-                             pref.provenance, line});
-    enc.shapes.push_back(
-        RelationShape{relation_spelling(pref.rel), pref.lhs, pref.rhs});
+    relation(ConstraintProvenance::Kind::preference, pref.provenance,
+             pref.rel, pref.lhs, pref.rhs);
   }
   // Step 3: one (strict-)monotonicity constraint per combined (+) entry.
   for (const auto& ext : spec.extensions) {
-    const std::string line = "(" + std::string(mono_rel) + " " +
-                             symbols.symbol(ext.from_sig) + " " +
-                             symbols.symbol(ext.to_sig) + ")";
-    enc.assert_lines.push_back(line);
-    enc.provenance.push_back(
-        ConstraintProvenance{ConstraintProvenance::Kind::monotonicity,
-                             ext.provenance, line});
-    enc.shapes.push_back(RelationShape{mono_rel, ext.from_sig, ext.to_sig});
+    relation(ConstraintProvenance::Kind::monotonicity, ext.provenance, mono,
+             ext.from_sig, ext.to_sig);
   }
   // Closed-form algebras: universally quantified templates.
   for (const auto& tmpl : spec.additive_templates) {
-    const std::string line = "(forall (s::Sig) (" + std::string(mono_rel) +
-                             " s (+ s " + std::to_string(tmpl.delta) + ")))";
-    enc.assert_lines.push_back(line);
-    enc.provenance.push_back(
-        ConstraintProvenance{ConstraintProvenance::Kind::monotonicity,
-                             tmpl.provenance, line});
-    enc.shapes.push_back(RelationShape{"forall", line, ""});
+    std::string line = "(forall (s::Sig) (" +
+                       std::string(relation_spelling(mono)) + " s (+ s " +
+                       std::to_string(tmpl.delta) + ")))";
+    enc.provenance.push_back(ConstraintProvenance{
+        ConstraintProvenance::Kind::monotonicity, tmpl.provenance, line});
+    enc.terms.push_back(smt::Term::forall_positive(
+        "s", relation_term(mono, smt::Term::variable("s"),
+                           smt::Term::add(smt::Term::variable("s"),
+                                          smt::Term::constant(tmpl.delta)))));
+    enc.shapes.push_back(RelationShape{"forall", std::move(line), ""});
   }
   return enc;
+}
+
+std::vector<smt::AssertionId> load(const SymbolTable& symbols,
+                                   const Encoding& enc, smt::Context& ctx) {
+  for (const std::string& symbol : symbols.symbols()) {
+    ctx.declare_variable(symbol);
+  }
+  std::vector<smt::AssertionId> ids;
+  ids.reserve(enc.terms.size());
+  for (std::size_t i = 0; i < enc.terms.size(); ++i) {
+    ids.push_back(ctx.assert_term(enc.terms[i], enc.provenance[i].constraint));
+  }
+  return ids;
 }
 
 std::string render_script(const algebra::SymbolicSpec& spec,
@@ -105,7 +139,7 @@ std::string render_script(const algebra::SymbolicSpec& spec,
   }
   bool wrote_pref_banner = false;
   bool wrote_mono_banner = false;
-  for (std::size_t i = 0; i < enc.assert_lines.size(); ++i) {
+  for (std::size_t i = 0; i < enc.provenance.size(); ++i) {
     if (enc.provenance[i].kind == ConstraintProvenance::Kind::preference &&
         !wrote_pref_banner) {
       script += ";; route preference constraints\n";
@@ -118,7 +152,7 @@ std::string render_script(const algebra::SymbolicSpec& spec,
                      : ";; monotonicity constraints\n");
       wrote_mono_banner = true;
     }
-    script += "(assert " + enc.assert_lines[i] + ")\n";
+    script += "(assert " + enc.provenance[i].constraint + ")\n";
   }
   script += "(check)\n";
   return script;

@@ -1,11 +1,13 @@
-// The Section IV-B constraint encoding, shared by the per-call
-// SafetyAnalyzer pipelines and the IncrementalSafetySession the repair
-// engine drives.
+// The Section IV-B constraint encoding, shared by SafetyAnalyzer's checks
+// and the IncrementalSafetySession the repair engine drives.
 //
 // Encoding order is part of the toolkit's contract: preferences first, then
 // combined-extension (monotonicity) entries, then additive templates —
 // assertion index i corresponds to provenance[i] in every consumer, which
-// is how solver cores map back to policy constraints.
+// is how solver cores map back to policy constraints. Each constraint is
+// built once as an smt::Term next to its textual line; the line goes into
+// the emitted Yices script and the term straight to the solver (load()),
+// so no consumer re-parses text the encoder has just printed.
 #ifndef FSR_FSR_CONSTRAINT_ENCODER_H
 #define FSR_FSR_CONSTRAINT_ENCODER_H
 
@@ -15,6 +17,8 @@
 
 #include "algebra/algebra.h"
 #include "fsr/safety_analyzer.h"
+#include "smt/context.h"
+#include "smt/term.h"
 
 namespace fsr::encoding {
 
@@ -49,17 +53,28 @@ struct RelationShape {
 };
 
 /// The constraints of one encoding, in assertion order (the order defines
-/// the AssertionId <-> provenance correspondence for both pipelines).
+/// the AssertionId <-> provenance correspondence). provenance[i].constraint
+/// is constraint i's line, e.g. "(< a b)" over sanitized symbols.
 struct Encoding {
   std::vector<ConstraintProvenance> provenance;
-  std::vector<std::string> assert_lines;  // "(< a b)" over sanitized symbols
-  std::vector<RelationShape> shapes;      // parallel, over original names
+  std::vector<smt::Term> terms;        // parallel: the line as a solver term
+  std::vector<RelationShape> shapes;   // parallel, over original names
 };
 
 const char* relation_spelling(algebra::PrefRel rel);
 
+/// The solver term of `lhs rel rhs` — the one builder behind encoded
+/// constraints and the repair session's per-check extras.
+smt::Term relation_term(algebra::PrefRel rel, smt::Term lhs, smt::Term rhs);
+
 Encoding encode(const algebra::SymbolicSpec& spec, MonotonicityMode mode,
                 const SymbolTable& symbols);
+
+/// Declares every symbol (positive, like the script's Sig type) on a fresh
+/// `ctx` and asserts enc's terms in encoding order, labelled with their
+/// lines, so the returned ids[i] == i asserts constraint i.
+std::vector<smt::AssertionId> load(const SymbolTable& symbols,
+                                   const Encoding& enc, smt::Context& ctx);
 
 std::string render_script(const algebra::SymbolicSpec& spec,
                           MonotonicityMode mode, const SymbolTable& symbols,

@@ -3,11 +3,8 @@
 #include <chrono>
 
 #include "fsr/constraint_encoder.h"
-#include "fsr/incremental_session.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "smt/yices_frontend.h"
-#include "util/error.h"
 
 namespace fsr {
 
@@ -34,23 +31,12 @@ std::string SafetyAnalyzer::emit_yices_script(
   return render_script(spec, mode, symbols, enc);
 }
 
-IncrementalSafetySession SafetyAnalyzer::open_incremental(
-    const algebra::RoutingAlgebra& algebra, MonotonicityMode mode,
-    bool incremental) {
-  IncrementalSafetySession::Options options;
-  options.incremental = incremental;
-  return IncrementalSafetySession(algebra.symbolic(), mode, options);
-}
+namespace {
 
-MonotonicityReport SafetyAnalyzer::check_monotonicity(
-    const algebra::RoutingAlgebra& algebra, MonotonicityMode mode) const {
-  const algebra::SymbolicSpec spec = algebra.symbolic();
-  return check_spec(spec, SymbolTable(spec.signatures), mode);
-}
-
-MonotonicityReport SafetyAnalyzer::check_spec(const algebra::SymbolicSpec& spec,
-                                              const SymbolTable& symbols,
-                                              MonotonicityMode mode) const {
+/// check_monotonicity over an already-derived spec and its symbol table.
+MonotonicityReport check_spec(const algebra::SymbolicSpec& spec,
+                              const SymbolTable& symbols,
+                              MonotonicityMode mode) {
   const Encoding enc = encode(spec, mode, symbols);
 
   MonotonicityReport report;
@@ -66,44 +52,21 @@ MonotonicityReport SafetyAnalyzer::check_spec(const algebra::SymbolicSpec& spec,
   }
 
   const auto start = std::chrono::steady_clock::now();
-  smt::Status status = smt::Status::sat;
-  smt::Model raw_model;
-  std::vector<smt::AssertionId> core_ids;
-
-  if (options_.via_textual_pipeline) {
-    smt::YicesFrontend frontend;
-    const smt::ScriptResult run = frontend.run_script(report.yices_script);
-    const smt::CheckOutcome& outcome = run.single_check();
-    status = outcome.status;
-    raw_model = outcome.model;
-    core_ids = outcome.core_ids;
-  } else {
-    smt::Context ctx;
-    for (const std::string& symbol : symbols.symbols()) {
-      ctx.declare_variable(symbol);
-    }
-    // Assert in encoding order so AssertionIds stay aligned with the
-    // provenance vector, exactly as in the textual pipeline.
-    for (const std::string& line : enc.assert_lines) {
-      ctx.assert_term(smt::parse_yices_term(smt::parse_sexpr(line)), line);
-    }
-    const smt::CheckResult check = ctx.check();
-    status = check.status;
-    raw_model = check.model;
-    core_ids = check.unsat_core;
-  }
+  smt::Context ctx;
+  encoding::load(symbols, enc, ctx);
+  const smt::CheckResult check = ctx.check();
   const auto stop = std::chrono::steady_clock::now();
   report.solve_time_ms =
       std::chrono::duration<double, std::milli>(stop - start).count();
 
-  if (status == smt::Status::sat) {
+  if (check.status == smt::Status::sat) {
     report.holds = true;
-    for (const auto& [symbol, value] : raw_model.values) {
+    for (const auto& [symbol, value] : check.model.values) {
       report.model.values[symbols.original(symbol)] = value;
     }
   } else {
     report.holds = false;
-    for (const smt::AssertionId id : core_ids) {
+    for (const smt::AssertionId id : check.unsat_core) {
       const auto index = static_cast<std::size_t>(id);
       if (index < enc.provenance.size()) {
         report.unsat_core.push_back(enc.provenance[index]);
@@ -111,6 +74,14 @@ MonotonicityReport SafetyAnalyzer::check_spec(const algebra::SymbolicSpec& spec,
     }
   }
   return report;
+}
+
+}  // namespace
+
+MonotonicityReport SafetyAnalyzer::check_monotonicity(
+    const algebra::RoutingAlgebra& algebra, MonotonicityMode mode) const {
+  const algebra::SymbolicSpec spec = algebra.symbolic();
+  return check_spec(spec, SymbolTable(spec.signatures), mode);
 }
 
 SafetyReport SafetyAnalyzer::analyze(

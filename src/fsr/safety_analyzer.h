@@ -2,8 +2,9 @@
 //
 // Given a routing algebra, the analyzer encodes its symbolic constraints
 // as integer comparisons (the three-step recipe of Section IV-B), renders
-// them as a Yices-style script, runs the solver, and maps the outcome back
-// to the policy level:
+// them as a Yices-style script (kept in the report; smt::YicesFrontend
+// replays it to the same outcome), hands the same constraints to the
+// solver as terms, and maps the outcome back to the policy level:
 //
 //   * sat   -> the algebra is strictly monotone; by Sobrinho's theorem the
 //              path-vector protocol implementing it converges -> SAFE,
@@ -29,11 +30,6 @@
 #include "smt/context.h"
 
 namespace fsr {
-
-class IncrementalSafetySession;
-namespace encoding {
-class SymbolTable;
-}  // namespace encoding
 
 enum class SafetyVerdict { safe, not_provably_safe };
 
@@ -76,27 +72,12 @@ struct SafetyReport {
   const std::vector<ConstraintProvenance>* failing_core() const;
 };
 
-/// Thread-compatibility: a SafetyAnalyzer holds no mutable state — analyze
-/// and check_monotonicity construct their solver session (smt::Context or
-/// smt::YicesFrontend, both single-thread objects) per call, and
+/// Thread-compatibility: a SafetyAnalyzer holds no state — every check
+/// builds its own smt::Context (a single-thread object) per call, and
 /// RoutingAlgebra implementations are immutable — so one analyzer instance
-/// MAY be shared by concurrent callers, and distinct instances are fully
-/// independent. The campaign runner still allocates one analyzer per
-/// worker to keep the contract explicit should Options ever grow state
-/// (audited 2026-07; see campaign/runner.cpp).
+/// MAY be shared by concurrent callers.
 class SafetyAnalyzer {
  public:
-  struct Options {
-    /// Route the constraints through the textual Yices pipeline (emit ->
-    /// parse -> solve), exactly as the original toolkit drives Yices. When
-    /// false the solver API is called directly; both paths must agree (a
-    /// property the test suite checks).
-    bool via_textual_pipeline = true;
-  };
-
-  SafetyAnalyzer() = default;
-  explicit SafetyAnalyzer(Options options) : options_(options) {}
-
   /// Full analysis with lexical-product decomposition.
   SafetyReport analyze(const algebra::RoutingAlgebra& algebra) const;
 
@@ -107,23 +88,6 @@ class SafetyAnalyzer {
   /// Renders the Section IV-B encoding of `spec` as a Yices-style script.
   static std::string emit_yices_script(const algebra::SymbolicSpec& spec,
                                        MonotonicityMode mode);
-
-  /// Incremental entry point: encodes `algebra`'s symbolic spec once into a
-  /// session whose solver state is shared across many near-identical
-  /// re-checks — the repair engine's workhorse (see
-  /// fsr/incremental_session.h, which callers must include for the complete
-  /// type). `incremental = false` selects the from-scratch ablation path.
-  static IncrementalSafetySession open_incremental(
-      const algebra::RoutingAlgebra& algebra, MonotonicityMode mode,
-      bool incremental = true);
-
- private:
-  /// check_monotonicity over an already-derived spec and its symbol table.
-  MonotonicityReport check_spec(const algebra::SymbolicSpec& spec,
-                                const encoding::SymbolTable& symbols,
-                                MonotonicityMode mode) const;
-
-  Options options_;
 };
 
 }  // namespace fsr

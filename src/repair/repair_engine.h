@@ -48,6 +48,10 @@
 #include "repair/edit.h"
 #include "spp/spp.h"
 
+namespace fsr {
+class IncrementalSafetySession;
+}  // namespace fsr
+
 namespace fsr::repair {
 
 /// How a solver-safe candidate fared against the SPP ground truth.

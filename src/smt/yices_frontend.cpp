@@ -27,6 +27,10 @@ std::pair<std::string, std::string> split_binding(const std::string& atom) {
   return {atom.substr(0, pos), atom.substr(pos + 2)};
 }
 
+/// Parses one expression of the Yices term grammar (atoms, +, -, *, the
+/// relations, forall) into a solver term.
+Term parse_yices_term(const Sexpr& expr);
+
 }  // namespace
 
 const CheckOutcome& ScriptResult::single_check() const {
@@ -163,7 +167,7 @@ void YicesFrontend::execute_assert(const Sexpr& command) {
                           command.to_string());
   }
   const Sexpr& body = command.items()[1];
-  context_.assert_term(parse_term(body), body.to_string());
+  context_.assert_term(parse_yices_term(body), body.to_string());
 }
 
 void YicesFrontend::execute_check(ScriptResult& result) {
@@ -189,9 +193,7 @@ void YicesFrontend::execute_check(ScriptResult& result) {
   result.checks.push_back(std::move(outcome));
 }
 
-Term YicesFrontend::parse_term(const Sexpr& expr) const {
-  return parse_yices_term(expr);
-}
+namespace {
 
 Term parse_yices_term(const Sexpr& expr) {
   if (expr.is_atom()) {
@@ -275,5 +277,7 @@ Term parse_yices_term(const Sexpr& expr) {
   }
   throw InvalidArgument("unknown operator '" + op + "' in " + expr.to_string());
 }
+
+}  // namespace
 
 }  // namespace fsr::smt

@@ -265,6 +265,26 @@ TEST(Connection, OversizedLineGetsAnErrorAndTheConnectionKeepsWorking) {
   EXPECT_NE(lines[0].find("\"id\": 1"), std::string::npos);
 }
 
+TEST(Connection, HostileLinesGetOneErrorEachAndTheConnectionKeepsWorking) {
+  ConnHarness h;
+  h.conn.feed(std::string(30000, '[') + "\n");
+  h.conn.feed(
+      "{\"kind\": \"ground-truth\", \"gadget\": \"bad\", "
+      "\"gadget\": \"good\"}\n{\"kind\": \"stats\"}\n");
+  ASSERT_EQ(h.submitted.size(), 1u);  // only the stats line went through
+  auto lines = h.take_lines();
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find("line 1: json: nesting deeper than 64 levels"),
+            std::string::npos);
+  EXPECT_NE(lines[1].find("line 2: json: duplicate object key 'gadget'"),
+            std::string::npos);
+
+  h.complete(2, "stats-answer");
+  lines = h.take_lines();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("stats-answer"), std::string::npos);
+}
+
 TEST(Connection, StatsIsABarrierThatWaitsForEarlierInflightLines) {
   ConnHarness h;
   h.conn.feed(

@@ -8,20 +8,23 @@
 //     safe;
 //   * the Figure-3 iBGP instance: eighteen constraints, unsat, with a
 //     six-constraint minimal core touching only the reflectors a, b, c.
-// Both solver pipelines (textual Yices script and direct API) are checked
-// against each other.
+// Every emitted Yices script is replayed through smt::YicesFrontend (the
+// paper's textual pipeline) and must reproduce the analyzer's outcome.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "algebra/additive_algebra.h"
 #include "algebra/lexical_product.h"
 #include "algebra/standard_policies.h"
 #include "campaign/scenario_source.h"
+#include "fsr/constraint_encoder.h"
 #include "fsr/incremental_session.h"
 #include "fsr/safety_analyzer.h"
 #include "groundtruth/engine.h"
+#include "smt/yices_frontend.h"
 #include "spp/gadgets.h"
 #include "spp/translate.h"
 #include "util/error.h"
@@ -29,21 +32,9 @@
 namespace fsr {
 namespace {
 
-SafetyAnalyzer textual_analyzer() {
-  SafetyAnalyzer::Options options;
-  options.via_textual_pipeline = true;
-  return SafetyAnalyzer(options);
-}
-
-SafetyAnalyzer direct_analyzer() {
-  SafetyAnalyzer::Options options;
-  options.via_textual_pipeline = false;
-  return SafetyAnalyzer(options);
-}
-
 TEST(SafetyAnalyzer, HopCountIsStrictlyMonotone) {
   const auto report =
-      textual_analyzer().analyze(*algebra::shortest_hop_count());
+      SafetyAnalyzer().analyze(*algebra::shortest_hop_count());
   EXPECT_EQ(report.verdict, SafetyVerdict::safe);
   ASSERT_EQ(report.checks.size(), 1u);
   EXPECT_TRUE(report.checks[0].holds);
@@ -55,7 +46,7 @@ TEST(SafetyAnalyzer, HopCountIsStrictlyMonotone) {
 
 TEST(SafetyAnalyzer, ZeroWeightIgpCostIsMonotoneOnly) {
   const auto algebra = algebra::igp_cost({0, 3});
-  const auto report = textual_analyzer().analyze(*algebra);
+  const auto report = SafetyAnalyzer().analyze(*algebra);
   EXPECT_EQ(report.verdict, SafetyVerdict::not_provably_safe);
   ASSERT_EQ(report.checks.size(), 2u);
   EXPECT_FALSE(report.checks[0].holds);  // strict fails on the 0 weight
@@ -64,7 +55,7 @@ TEST(SafetyAnalyzer, ZeroWeightIgpCostIsMonotoneOnly) {
 
 TEST(SafetyAnalyzer, GaoRexfordStrictFailsPlainHoldsWithPaperModel) {
   const auto report =
-      textual_analyzer().analyze(*algebra::gao_rexford_guideline_a());
+      SafetyAnalyzer().analyze(*algebra::gao_rexford_guideline_a());
   EXPECT_EQ(report.verdict, SafetyVerdict::not_provably_safe);
   ASSERT_EQ(report.checks.size(), 2u);
 
@@ -86,7 +77,7 @@ TEST(SafetyAnalyzer, GaoRexfordStrictFailsPlainHoldsWithPaperModel) {
 
 TEST(SafetyAnalyzer, GaoRexfordWithHopCountIsSafeByComposition) {
   const auto report =
-      textual_analyzer().analyze(*algebra::gao_rexford_with_hop_count());
+      SafetyAnalyzer().analyze(*algebra::gao_rexford_with_hop_count());
   EXPECT_EQ(report.verdict, SafetyVerdict::safe);
   // Factor 1 strict fails, factor 1 plain holds, factor 2 strict holds.
   ASSERT_EQ(report.checks.size(), 3u);
@@ -97,7 +88,7 @@ TEST(SafetyAnalyzer, GaoRexfordWithHopCountIsSafeByComposition) {
 
 TEST(SafetyAnalyzer, WidestShortestIsSafeByComposition) {
   const auto report =
-      textual_analyzer().analyze(*algebra::widest_shortest({10, 100, 1000}));
+      SafetyAnalyzer().analyze(*algebra::widest_shortest({10, 100, 1000}));
   EXPECT_EQ(report.verdict, SafetyVerdict::safe);
 }
 
@@ -106,7 +97,7 @@ TEST(SafetyAnalyzer, AllMonotoneNoStrictFactorIsNotProvablySafe) {
   const auto product =
       algebra::lexical_product(algebra::bandwidth_classes({10, 100}),
                                algebra::bandwidth_classes({10, 100}));
-  const auto report = textual_analyzer().analyze(*product);
+  const auto report = SafetyAnalyzer().analyze(*product);
   EXPECT_EQ(report.verdict, SafetyVerdict::not_provably_safe);
 }
 
@@ -115,7 +106,7 @@ TEST(SafetyAnalyzer, NonMonotoneFirstFactorStopsComposition) {
   const auto bad = spp::algebra_from_spp(spp::bad_gadget());
   const auto product =
       algebra::lexical_product(bad, algebra::shortest_hop_count());
-  const auto report = textual_analyzer().analyze(*product);
+  const auto report = SafetyAnalyzer().analyze(*product);
   EXPECT_EQ(report.verdict, SafetyVerdict::not_provably_safe);
   ASSERT_EQ(report.checks.size(), 2u);
   EXPECT_FALSE(report.checks[1].holds);  // plain also fails
@@ -123,13 +114,13 @@ TEST(SafetyAnalyzer, NonMonotoneFirstFactorStopsComposition) {
 
 TEST(SafetyAnalyzer, GoodGadgetIsSafe) {
   const auto report =
-      textual_analyzer().analyze(*spp::algebra_from_spp(spp::good_gadget()));
+      SafetyAnalyzer().analyze(*spp::algebra_from_spp(spp::good_gadget()));
   EXPECT_EQ(report.verdict, SafetyVerdict::safe);
 }
 
 TEST(SafetyAnalyzer, BadGadgetIsNotProvablySafe) {
   const auto report =
-      textual_analyzer().analyze(*spp::algebra_from_spp(spp::bad_gadget()));
+      SafetyAnalyzer().analyze(*spp::algebra_from_spp(spp::bad_gadget()));
   EXPECT_EQ(report.verdict, SafetyVerdict::not_provably_safe);
   const auto* core = report.failing_core();
   ASSERT_NE(core, nullptr);
@@ -142,14 +133,14 @@ TEST(SafetyAnalyzer, DisagreeIsNotProvablySafe) {
   // Known false positive of the strict-monotonicity test: DISAGREE always
   // converges in practice, yet is not strictly monotone (the paper reports
   // the same verdict).
-  const auto report = textual_analyzer().analyze(
+  const auto report = SafetyAnalyzer().analyze(
       *spp::algebra_from_spp(spp::disagree_gadget()));
   EXPECT_EQ(report.verdict, SafetyVerdict::not_provably_safe);
 }
 
 TEST(SafetyAnalyzer, Figure3EighteenConstraintsUnsat) {
   const auto a = spp::algebra_from_spp(spp::ibgp_figure3_gadget());
-  const auto report = textual_analyzer().analyze(*a);
+  const auto report = SafetyAnalyzer().analyze(*a);
   EXPECT_EQ(report.verdict, SafetyVerdict::not_provably_safe);
   const MonotonicityReport& strict = report.checks[0];
   EXPECT_EQ(
@@ -159,7 +150,7 @@ TEST(SafetyAnalyzer, Figure3EighteenConstraintsUnsat) {
 
 TEST(SafetyAnalyzer, Figure3CoreTouchesOnlyReflectors) {
   const auto a = spp::algebra_from_spp(spp::ibgp_figure3_gadget());
-  const auto report = textual_analyzer().analyze(*a);
+  const auto report = SafetyAnalyzer().analyze(*a);
   const auto* core = report.failing_core();
   ASSERT_NE(core, nullptr);
   EXPECT_EQ(core->size(), 6u);  // the oscillation cycle, minimal
@@ -177,39 +168,90 @@ TEST(SafetyAnalyzer, Figure3CoreTouchesOnlyReflectors) {
 
 TEST(SafetyAnalyzer, Figure3FixedIsSafe) {
   const auto a = spp::algebra_from_spp(spp::ibgp_figure3_fixed());
-  const auto report = textual_analyzer().analyze(*a);
+  const auto report = SafetyAnalyzer().analyze(*a);
   EXPECT_EQ(report.verdict, SafetyVerdict::safe);
 }
 
-TEST(SafetyAnalyzer, PipelinesAgree) {
-  // Textual (emit -> parse -> solve) and direct API pipelines must agree
-  // on verdicts, models, and cores for all the standard cases.
-  const std::vector<algebra::AlgebraPtr> algebras = {
+// Replays every check's emitted script through smt::YicesFrontend and
+// asserts the analyzer's holds, model and core: the frontend's symbols and
+// assertion ids are mapped back through the encoding's symbol table and
+// provenance. Returns how many checks were unsat.
+std::size_t expect_script_replay_agrees(
+    const algebra::RoutingAlgebra& algebra) {
+  std::vector<const algebra::RoutingAlgebra*> factors =
+      algebra.lexical_factors();
+  if (factors.empty()) factors.push_back(&algebra);
+  std::size_t unsat = 0;
+  const SafetyReport report = SafetyAnalyzer().analyze(algebra);
+  for (const MonotonicityReport& check : report.checks) {
+    const auto factor = std::find_if(
+        factors.begin(), factors.end(),
+        [&](const auto* f) { return f->name() == check.algebra_name; });
+    if (factor == factors.end()) {
+      ADD_FAILURE() << algebra.name() << ": no factor " << check.algebra_name;
+      continue;
+    }
+    const algebra::SymbolicSpec spec = (*factor)->symbolic();
+    const encoding::SymbolTable symbols(spec.signatures);
+    const encoding::Encoding enc = encoding::encode(spec, check.mode, symbols);
+
+    smt::YicesFrontend frontend;
+    const smt::CheckOutcome replay =
+        frontend.run_script(check.yices_script).single_check();
+    EXPECT_EQ(replay.status == smt::Status::sat, check.holds)
+        << algebra.name();
+    std::map<std::string, std::int64_t> model;
+    for (const auto& [symbol, value] : replay.model.values) {
+      model[symbols.original(symbol)] = value;
+    }
+    EXPECT_EQ(model, check.model.values) << algebra.name();
+    std::vector<std::string> core;
+    for (const smt::AssertionId id : replay.core_ids) {
+      const ConstraintProvenance& prov =
+          enc.provenance.at(static_cast<std::size_t>(id));
+      core.push_back(prov.description + " " + prov.constraint);
+    }
+    std::vector<std::string> expected;
+    for (const ConstraintProvenance& prov : check.unsat_core) {
+      expected.push_back(prov.description + " " + prov.constraint);
+    }
+    EXPECT_EQ(core, expected) << algebra.name();
+    if (!check.holds) ++unsat;
+  }
+  return unsat;
+}
+
+TEST(SafetyAnalyzer, EmittedScriptsReplayToTheSameOutcome) {
+  std::vector<algebra::AlgebraPtr> algebras = {
       algebra::shortest_hop_count(),
+      algebra::igp_cost({0, 3}),
       algebra::gao_rexford_guideline_a(),
       algebra::gao_rexford_guideline_b(),
       algebra::backup_routing(),
-      spp::algebra_from_spp(spp::good_gadget()),
-      spp::algebra_from_spp(spp::bad_gadget()),
-      spp::algebra_from_spp(spp::disagree_gadget()),
-      spp::algebra_from_spp(spp::ibgp_figure3_gadget()),
+      algebra::bandwidth_classes({10, 100, 1000}),
+      algebra::widest_shortest({10, 100, 1000}),
+      algebra::gao_rexford_with_hop_count(),
   };
-  for (const auto& algebra : algebras) {
-    const auto textual = textual_analyzer().analyze(*algebra);
-    const auto direct = direct_analyzer().analyze(*algebra);
-    EXPECT_EQ(textual.verdict, direct.verdict) << algebra->name();
-    ASSERT_EQ(textual.checks.size(), direct.checks.size()) << algebra->name();
-    for (std::size_t i = 0; i < textual.checks.size(); ++i) {
-      EXPECT_EQ(textual.checks[i].holds, direct.checks[i].holds);
-      EXPECT_EQ(textual.checks[i].model.values, direct.checks[i].model.values);
-      ASSERT_EQ(textual.checks[i].unsat_core.size(),
-                direct.checks[i].unsat_core.size());
-      for (std::size_t j = 0; j < textual.checks[i].unsat_core.size(); ++j) {
-        EXPECT_EQ(textual.checks[i].unsat_core[j].description,
-                  direct.checks[i].unsat_core[j].description);
-      }
-    }
+  for (const char* name : {"good", "bad", "disagree", "ibgp-figure3",
+                           "ibgp-figure3-fixed"}) {
+    algebras.push_back(spp::algebra_from_spp(spp::gadget_by_name(name)));
   }
+  for (std::int32_t count = 1; count <= 16; ++count) {
+    algebras.push_back(spp::algebra_from_spp(spp::good_gadget_chain(count)));
+    algebras.push_back(spp::algebra_from_spp(spp::bad_gadget_chain(count)));
+  }
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    campaign::RandomSppSweep sweep;
+    sweep.min_nodes = sweep.max_nodes = 3 + static_cast<int>(seed % 12);
+    algebras.push_back(spp::algebra_from_spp(campaign::random_spp_instance(
+        "random-" + std::to_string(seed), seed, sweep)));
+  }
+  std::size_t unsat = 0;
+  for (const auto& algebra : algebras) {
+    unsat += expect_script_replay_agrees(*algebra);
+  }
+  // The sweep must exercise cores, not only models.
+  EXPECT_GT(unsat, 40u);
 }
 
 TEST(SafetyAnalyzer, EmittedScriptMatchesPaperShape) {
@@ -228,7 +270,7 @@ TEST(SafetyAnalyzer, EmittedScriptMatchesPaperShape) {
 
 TEST(SafetyAnalyzer, NarrativeSuggestsCompositionForMonotoneAlgebras) {
   const auto report =
-      textual_analyzer().analyze(*algebra::gao_rexford_guideline_a());
+      SafetyAnalyzer().analyze(*algebra::gao_rexford_guideline_a());
   EXPECT_NE(report.narrative.find("tie-breaker"), std::string::npos);
 }
 
@@ -239,8 +281,8 @@ TEST(SafetyAnalyzer, GadgetLibraryCoresAreMinimal) {
       spp::bad_gadget(), spp::disagree_gadget(), spp::ibgp_figure3_gadget()};
   for (const spp::SppInstance& gadget : unsafe_gadgets) {
     const auto algebra = spp::algebra_from_spp(gadget);
-    IncrementalSafetySession session =
-        SafetyAnalyzer::open_incremental(*algebra, MonotonicityMode::strict);
+    IncrementalSafetySession session(algebra->symbolic(),
+                                     MonotonicityMode::strict);
     const auto full = session.check({});
     ASSERT_FALSE(full.holds) << gadget.name();
     ASSERT_FALSE(full.core.empty()) << gadget.name();
@@ -271,8 +313,8 @@ TEST(SafetyAnalyzer, GadgetLibraryCoresAreMinimal) {
   }
 }
 
-// The incremental session must agree with the per-call analyzer pipelines
-// on every standard case: same verdicts, same core provenance.
+// The incremental session must agree with the per-call analyzer on every
+// standard case: same verdicts, same core provenance.
 TEST(IncrementalSession, AgreesWithAnalyzer) {
   const std::vector<algebra::AlgebraPtr> algebras = {
       algebra::gao_rexford_guideline_a(),
@@ -283,18 +325,18 @@ TEST(IncrementalSession, AgreesWithAnalyzer) {
       spp::algebra_from_spp(spp::ibgp_figure3_fixed()),
   };
   for (const auto& algebra : algebras) {
-    const MonotonicityReport direct = direct_analyzer().check_monotonicity(
+    const MonotonicityReport report = SafetyAnalyzer().check_monotonicity(
         *algebra, MonotonicityMode::strict);
-    IncrementalSafetySession session =
-        SafetyAnalyzer::open_incremental(*algebra, MonotonicityMode::strict);
+    IncrementalSafetySession session(algebra->symbolic(),
+                                     MonotonicityMode::strict);
     const auto result = session.check({});
-    EXPECT_EQ(result.holds, direct.holds) << algebra->name();
+    EXPECT_EQ(result.holds, report.holds) << algebra->name();
     if (!result.holds) {
-      ASSERT_EQ(result.core.size(), direct.unsat_core.size())
+      ASSERT_EQ(result.core.size(), report.unsat_core.size())
           << algebra->name();
       for (std::size_t i = 0; i < result.core.size(); ++i) {
         EXPECT_EQ(session.provenance(result.core[i]).description,
-                  direct.unsat_core[i].description);
+                  report.unsat_core[i].description);
       }
     }
   }
@@ -305,8 +347,8 @@ TEST(IncrementalSession, ExtrasInTheCoreAreReportedByIndex) {
   // (per-check extras); the session must surface them so the repair search
   // can branch on them instead of silently dying.
   const auto algebra = spp::algebra_from_spp(spp::good_gadget());
-  IncrementalSafetySession session =
-      SafetyAnalyzer::open_incremental(*algebra, MonotonicityMode::strict);
+  IncrementalSafetySession session(algebra->symbolic(),
+                                   MonotonicityMode::strict);
   // Retract the whole base so the only possible cycle is the two extras.
   std::vector<std::size_t> everything(session.constraint_count());
   for (std::size_t i = 0; i < everything.size(); ++i) everything[i] = i;
@@ -323,8 +365,8 @@ TEST(IncrementalSession, ExtrasInTheCoreAreReportedByIndex) {
 
 TEST(IncrementalSession, RepeatedChecksReuseTheEngine) {
   const auto algebra = spp::algebra_from_spp(spp::bad_gadget());
-  IncrementalSafetySession session =
-      SafetyAnalyzer::open_incremental(*algebra, MonotonicityMode::strict);
+  IncrementalSafetySession session(algebra->symbolic(),
+                                   MonotonicityMode::strict);
   const auto first = session.check({});
   ASSERT_FALSE(first.holds);
   session.make_variable(first.core);
@@ -407,7 +449,7 @@ TEST(SafetyAnalyzer, SatSearchCrossValidatesBeyondEnumeration) {
 
 TEST(SafetyAnalyzer, SolveTimeIsRecorded) {
   const auto report =
-      textual_analyzer().analyze(*spp::algebra_from_spp(spp::bad_gadget()));
+      SafetyAnalyzer().analyze(*spp::algebra_from_spp(spp::bad_gadget()));
   EXPECT_GT(report.total_solve_time_ms(), 0.0);
   // Gadget-scale analyses complete well under the paper's 100 ms budget.
   EXPECT_LT(report.total_solve_time_ms(), 100.0);

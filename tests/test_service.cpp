@@ -7,8 +7,12 @@
 // Runs under the `service` ctest label.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <string>
 #include <thread>
@@ -140,6 +144,86 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(json::parse("-2").as_u64("x"), InvalidArgument);
 }
 
+TEST(Json, CapsNestingDepth) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW(json::parse(nested(json::kMaxNestingDepth)));
+  EXPECT_THROW(json::parse(nested(json::kMaxNestingDepth + 1)),
+               InvalidArgument);
+  // Far past the cap the parser stops at the cap, never at the stack.
+  try {
+    json::parse(std::string(30000, '['));
+    ADD_FAILURE() << "30000-deep line parsed";
+  } catch (const InvalidArgument& error) {
+    EXPECT_STREQ(error.what(),
+                 "json: nesting deeper than 64 levels at byte 64");
+  }
+}
+
+TEST(Json, RejectsDuplicateObjectKeys) {
+  try {
+    json::parse(R"({"kind": "ground-truth", "gadget": "bad", "gadget": "good"})");
+    ADD_FAILURE() << "duplicate key accepted";
+  } catch (const InvalidArgument& error) {
+    EXPECT_STREQ(error.what(),
+                 "json: duplicate object key 'gadget' at byte 50");
+  }
+  EXPECT_THROW(json::parse(R"({"random": {"seed": 1, "seed": 2}})"),
+               InvalidArgument);
+  // Large objects are checked too, in linear time.
+  std::string wide = "{";
+  for (int i = 0; i < 50000; ++i) {
+    wide += "\"k" + std::to_string(i) + "\": " + std::to_string(i) + ", ";
+  }
+  EXPECT_NO_THROW(json::parse(wide + "\"last\": 0}"));
+  EXPECT_THROW(json::parse(wide + "\"k17\": 0}"), InvalidArgument);
+  // The same key in distinct objects is no duplicate.
+  EXPECT_NO_THROW(json::parse(R"({"a": {"a": 1}, "b": [{"a": 2}, {"a": 3}]})"));
+}
+
+#ifdef FSR_SERVE_BINARY
+// The stdin front end end to end: a 30k-deep line and a duplicate-key line
+// each get exactly one in-band error, and the line after them is answered.
+TEST(Serve, HostileLinesAnswerInBandAndTheStreamGoesOn) {
+  const std::filesystem::path dir = ::testing::TempDir();
+  const std::filesystem::path in = dir / "fsr_serve_hostile.in";
+  const std::filesystem::path out = dir / "fsr_serve_hostile.out";
+  {
+    std::ofstream stream(in, std::ios::binary);
+    stream << std::string(30000, '[') << "\n"
+           << R"({"kind": "ground-truth", "gadget": "bad", "gadget": "good"})"
+           << "\n"
+           << R"({"kind": "ground-truth", "gadget": "good"})" << "\n";
+  }
+  const std::string command = std::string("\"") + FSR_SERVE_BINARY +
+                              "\" < \"" + in.string() + "\" > \"" +
+                              out.string() + "\"";
+  const int status = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << "fsr_serve died: " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 1);  // in-band errors were answered
+
+  std::ifstream stream(out, std::ios::binary);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(stream, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_NE(lines[0].find("\"error\": \"line 1: json: nesting deeper than "
+                          "64 levels at byte 64\""),
+            std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[1].find("\"error\": \"line 2: json: duplicate object key "
+                          "'gadget' at byte 50\""),
+            std::string::npos)
+      << lines[1];
+  EXPECT_NE(lines[2].find("\"ground_truth\": {\"decided\": true"),
+            std::string::npos)
+      << lines[2];
+  std::filesystem::remove(in);
+  std::filesystem::remove(out);
+}
+#endif
+
 TEST(Wire, ParsesEveryPayloadShape) {
   EXPECT_EQ(kind_of(wire::parse_request(
                 R"({"kind": "ground-truth", "gadget": "bad"})")),
@@ -164,9 +248,9 @@ TEST(Wire, ParsesEveryPayloadShape) {
   EXPECT_EQ(sim.suppression, "split-horizon");
   EXPECT_EQ(sim.max_steps, std::optional<std::uint64_t>(500));
   // Omitted => the SPVP default, exactly like scenario.
-  const auto& defaulted = std::get<SimulateRequest>(wire::parse_request(
-      R"({"kind": "simulate", "gadget": "bad", "seed": 3})"));
-  EXPECT_EQ(defaulted.suppression, "none");
+  const Request defaulted = wire::parse_request(
+      R"({"kind": "simulate", "gadget": "bad", "seed": 3})");
+  EXPECT_EQ(std::get<SimulateRequest>(defaulted).suppression, "none");
 }
 
 TEST(Wire, InlineSppMatchesTheLibraryGadgetFingerprint) {

@@ -11,6 +11,10 @@ Proves the transport acceptance properties of docs/WIRE.md ("Transport"):
     are live state, the two documented exceptions, and are filtered);
   * the stdin contract per connection — dense ids, blank lines skipped,
     in-band errors;
+  * hostile input stays in-band — a 9th client sends a 30k-deep JSON
+    line and a duplicate-key line alongside the 8: each gets exactly one
+    error response, its next line is still answered, and the other
+    clients' bytes are unaffected;
   * graceful drain — SIGTERM makes the server answer everything already
     received, flush, close cleanly, and exit 0.
 
@@ -40,6 +44,17 @@ REQUESTS = [
     '{"kind": "emulate", "gadget": "good", "seed": 7}',
 ]
 STREAM = "".join(line + "\n" for line in REQUESTS).encode()
+
+HOSTILE = [
+    "[" * 30000,  # would overflow a recursive parser's stack
+    '{"kind": "ground-truth", "gadget": "bad", "gadget": "good"}',
+    '{"kind": "ground-truth", "gadget": "good"}',  # still answered
+]
+HOSTILE_STREAM = "".join(line + "\n" for line in HOSTILE).encode()
+HOSTILE_ERRORS = [
+    b'"error": "line 1: json: nesting deeper than 64 levels at byte 64"',
+    b'"error": "line 2: json: duplicate object key \'gadget\' at byte 50"',
+]
 
 
 def deterministic(payload: bytes) -> bytes:
@@ -94,15 +109,16 @@ def connect(port: int, unix_path: str, use_unix: bool) -> socket.socket:
     return sock
 
 
-def client(port: int, unix_path: str, index: int, replies: list):
+def client(port: int, unix_path: str, index: int, replies: list,
+           stream: bytes = STREAM):
     sock = connect(port, unix_path, use_unix=index % 2 == 1)
     # Odd clients dribble the stream in small pieces: framing must
     # reassemble arbitrary chunk boundaries into the same bytes.
     if index % 2 == 1:
-        for start in range(0, len(STREAM), 7):
-            sock.sendall(STREAM[start : start + 7])
+        for start in range(0, len(stream), 7):
+            sock.sendall(stream[start : start + 7])
     else:
-        sock.sendall(STREAM)
+        sock.sendall(stream)
     sock.shutdown(socket.SHUT_WR)
     data = b""
     while True:
@@ -112,6 +128,16 @@ def client(port: int, unix_path: str, index: int, replies: list):
         data += chunk
     sock.close()
     replies[index] = data
+
+
+def check_hostile(payload: bytes):
+    """One response per hostile line, each the expected in-band error, and
+    the line after them answered normally."""
+    lines = payload.splitlines()
+    assert len(lines) == len(HOSTILE), lines
+    for line, error in zip(lines, HOSTILE_ERRORS):
+        assert error in line, line
+    assert b'"ground_truth": {"decided": true' in lines[-1], lines[-1]
 
 
 def drain_check(binary: str, unix_path: str):
@@ -147,17 +173,26 @@ def main() -> int:
         unix_path = tmp + "/fsr-serve-smoke.sock"
         for shards in (1, 8):
             server, port = launch(binary, shards, unix_path)
-            replies = [None] * clients
+            replies = [None] * (clients + 1)
             threads = [
                 threading.Thread(
                     target=client, args=(port, unix_path, i, replies)
                 )
                 for i in range(clients)
             ]
+            threads.append(
+                threading.Thread(
+                    target=client,
+                    args=(port, unix_path, clients, replies, HOSTILE_STREAM),
+                )
+            )
             for t in threads:
                 t.start()
             for t in threads:
                 t.join()
+            hostile = replies.pop()
+            assert hostile is not None, "hostile client got no reply"
+            check_hostile(hostile)
             for i, payload in enumerate(replies):
                 assert payload is not None, f"client {i} got no reply"
                 actual = deterministic(payload)
@@ -169,7 +204,8 @@ def main() -> int:
             assert server.wait(timeout=60) == 0, server.returncode
             print(
                 f"smoke ok: {clients} clients x shards={shards}: TCP and "
-                "Unix responses byte-identical to stdin mode"
+                "Unix responses byte-identical to stdin mode; hostile "
+                "lines answered in-band"
             )
         drain_check(binary, unix_path)
     return 0
