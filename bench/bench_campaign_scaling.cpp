@@ -22,7 +22,7 @@ std::vector<std::unique_ptr<ScenarioSource>> workload() {
   sources.push_back(rocketfuel_source(std::move(rocketfuel)));
   RandomSppSweep random_sweep;
   random_sweep.count = 16;
-  random_sweep.max_nodes = 7;
+  random_sweep.shape.max_nodes = 7;
   sources.push_back(random_spp_source(random_sweep));
   return sources;
 }

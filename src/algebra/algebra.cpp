@@ -14,4 +14,25 @@ std::optional<Value> RoutingAlgebra::combined_extend(const Value& label,
   return extend(label, sig);
 }
 
+std::string canonical_spec(const SymbolicSpec& spec) {
+  std::string out = "sigs=";
+  for (const std::string& sig : spec.signatures) out += sig + ",";
+  out += ";prefs=";
+  for (const auto& pref : spec.preferences) {
+    const char* rel = pref.rel == PrefRel::equal             ? "="
+                      : pref.rel == PrefRel::better_or_equal ? "<="
+                                                             : "<";
+    out += pref.lhs + rel + pref.rhs + ",";
+  }
+  out += ";exts=";
+  for (const auto& ext : spec.extensions) {
+    out += ext.label + "(+)" + ext.from_sig + "=" + ext.to_sig + ",";
+  }
+  out += ";templates=";
+  for (const auto& tmpl : spec.additive_templates) {
+    out += std::to_string(tmpl.delta) + ",";
+  }
+  return out;
+}
+
 }  // namespace fsr::algebra

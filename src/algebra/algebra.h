@@ -134,6 +134,11 @@ class RoutingAlgebra {
 
 using AlgebraPtr = std::shared_ptr<const RoutingAlgebra>;
 
+/// Canonical text of a symbolic spec: signatures, preference constraints,
+/// extension entries, and additive templates in spec order. Excludes the
+/// algebra name and the provenance strings.
+std::string canonical_spec(const SymbolicSpec& spec);
+
 }  // namespace fsr::algebra
 
 #endif  // FSR_ALGEBRA_ALGEBRA_H

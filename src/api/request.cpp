@@ -1,66 +1,64 @@
 #include "api/request.h"
 
-#include "campaign/cache.h"
+#include <iterator>
+#include <type_traits>
+
+#include "api/service.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace fsr::api {
+namespace {
+
+/// Per RequestKind, in enum order: the wire spelling and the identity tag.
+/// analyze-safety, emulate and simulate keep the campaign's historical
+/// scenario-kind spelling as their tag: campaign report content ids and
+/// on-disk cache records are digests of identities, and this spelling
+/// keeps every existing one valid.
+struct KindNames {
+  const char* wire;
+  const char* identity;
+};
+constexpr KindNames k_kind_names[] = {
+    {"analyze-safety", "safety"}, {"ground-truth", "ground-truth"},
+    {"repair", "repair"},         {"emulate", "emulation"},
+    {"simulate", "simulation"},   {"stats", "stats"},
+    {"debug", "debug"},
+};
+
+template <RequestKind kind, typename T>
+constexpr bool k_alternative_is =
+    std::is_same_v<std::variant_alternative_t<std::size_t(kind), Request>, T>;
+
+}  // namespace
 
 const char* to_string(RequestKind kind) noexcept {
-  switch (kind) {
-    case RequestKind::analyze_safety:
-      return "analyze-safety";
-    case RequestKind::ground_truth:
-      return "ground-truth";
-    case RequestKind::repair:
-      return "repair";
-    case RequestKind::emulate:
-      return "emulate";
-    case RequestKind::simulate:
-      return "simulate";
-    case RequestKind::stats:
-      return "stats";
-    case RequestKind::debug:
-      return "debug";
-  }
-  return "analyze-safety";
+  return k_kind_names[static_cast<std::size_t>(kind)].wire;
+}
+
+const char* identity_tag(RequestKind kind) noexcept {
+  return k_kind_names[static_cast<std::size_t>(kind)].identity;
 }
 
 std::optional<RequestKind> parse_request_kind(const std::string& text) {
-  if (text == "analyze-safety") return RequestKind::analyze_safety;
-  if (text == "ground-truth") return RequestKind::ground_truth;
-  if (text == "repair") return RequestKind::repair;
-  if (text == "emulate") return RequestKind::emulate;
-  if (text == "simulate") return RequestKind::simulate;
-  if (text == "stats") return RequestKind::stats;
-  if (text == "debug") return RequestKind::debug;
+  for (std::size_t i = 0; i < std::size(k_kind_names); ++i) {
+    if (text == k_kind_names[i].wire) return static_cast<RequestKind>(i);
+  }
   return std::nullopt;
 }
 
 RequestKind kind_of(const Request& request) noexcept {
-  struct Visitor {
-    RequestKind operator()(const AnalyzeSafetyRequest&) const {
-      return RequestKind::analyze_safety;
-    }
-    RequestKind operator()(const GroundTruthRequest&) const {
-      return RequestKind::ground_truth;
-    }
-    RequestKind operator()(const RepairRequest&) const {
-      return RequestKind::repair;
-    }
-    RequestKind operator()(const EmulateRequest&) const {
-      return RequestKind::emulate;
-    }
-    RequestKind operator()(const SimulateRequest&) const {
-      return RequestKind::simulate;
-    }
-    RequestKind operator()(const StatsRequest&) const {
-      return RequestKind::stats;
-    }
-    RequestKind operator()(const DebugRequest&) const {
-      return RequestKind::debug;
-    }
-  };
-  return std::visit(Visitor{}, request);
+  // Request lists its alternatives in RequestKind order.
+  static_assert(k_alternative_is<RequestKind::analyze_safety,
+                                 AnalyzeSafetyRequest> &&
+                k_alternative_is<RequestKind::ground_truth, GroundTruthRequest> &&
+                k_alternative_is<RequestKind::repair, RepairRequest> &&
+                k_alternative_is<RequestKind::emulate, EmulateRequest> &&
+                k_alternative_is<RequestKind::simulate, SimulateRequest> &&
+                k_alternative_is<RequestKind::stats, StatsRequest> &&
+                k_alternative_is<RequestKind::debug, DebugRequest> &&
+                std::variant_size_v<Request> == std::size(k_kind_names));
+  return static_cast<RequestKind>(request.index());
 }
 
 void validate(const Request& request) {
@@ -119,47 +117,75 @@ void validate(const Request& request) {
   std::visit(Visitor{}, request);
 }
 
-namespace {
-
-std::string payload_canonical(const Request& request) {
-  struct Visitor {
-    std::string operator()(const AnalyzeSafetyRequest& req) const {
-      if (req.spp != nullptr) return campaign::canonical_spp(*req.spp);
-      return "alg|" + req.algebra->name() + "|" +
-             campaign::canonical_spec(req.algebra->symbolic());
-    }
-    std::string operator()(const GroundTruthRequest& req) const {
-      return campaign::canonical_spp(*req.spp);
-    }
-    std::string operator()(const RepairRequest& req) const {
-      return campaign::canonical_spp(*req.spp);
-    }
-    std::string operator()(const EmulateRequest& req) const {
-      if (req.spp != nullptr) return campaign::canonical_spp(*req.spp);
-      return "alg|" + req.algebra->name() + "|" +
-             campaign::canonical_spec(req.algebra->symbolic()) + "|topo|" +
-             campaign::canonical_topology(*req.topology);
-    }
-    std::string operator()(const SimulateRequest& req) const {
-      return campaign::canonical_spp(*req.spp);
-    }
-    std::string operator()(const StatsRequest&) const { return std::string(); }
-    std::string operator()(const DebugRequest&) const { return std::string(); }
+RequestIdentity identity(const Request& request,
+                         const ServiceOptions& options) {
+  validate(request);
+  RequestIdentity id;
+  const RequestKind kind = kind_of(request);
+  if (kind == RequestKind::stats || kind == RequestKind::debug) return id;
+  id.head = identity_tag(kind);
+  const auto seed = [&id](std::uint64_t value) {
+    id.head += "|seed=" + std::to_string(value);
   };
-  return std::visit(Visitor{}, request);
+  const auto instance = [&id](const spp::SppInstance& spp) {
+    // The SPP canonical form carries no shape tag of its own (fingerprints
+    // digest it bare), so the head adds one.
+    id.head += "|spp|";
+    id.payload = spp::canonical_spp(spp);
+  };
+  const auto policy = [&id](const algebra::RoutingAlgebra& algebra) {
+    id.head += "|";
+    id.payload = "alg|" + algebra.name() + "|" +
+                 algebra::canonical_spec(algebra.symbolic());
+  };
+
+  if (const auto* req = std::get_if<AnalyzeSafetyRequest>(&request)) {
+    if (req->spp != nullptr) {
+      instance(*req->spp);
+    } else {
+      policy(*req->algebra);
+    }
+  } else if (const auto* req = std::get_if<GroundTruthRequest>(&request)) {
+    instance(*req->spp);
+    id.options = "|gt|" + groundtruth::options_key(
+                              req->mode.value_or(options.ground_truth),
+                              options.ground_truth_options);
+  } else if (const auto* req = std::get_if<RepairRequest>(&request)) {
+    seed(req->seed);
+    instance(*req->spp);
+    id.options = "|repair|" + repair::options_key(options.repair);
+  } else if (const auto* req = std::get_if<EmulateRequest>(&request)) {
+    seed(req->seed);
+    if (req->spp != nullptr) {
+      instance(*req->spp);
+    } else {
+      policy(*req->algebra);
+      id.payload += "|topo|" + topology::canonical_topology(*req->topology);
+    }
+  } else if (const auto* req = std::get_if<SimulateRequest>(&request)) {
+    seed(req->seed);
+    instance(*req->spp);
+    id.options = "|sim|" + sim::options_key(sim_options(*req, options.sim));
+  }
+  return id;
 }
 
-}  // namespace
-
 std::string fingerprint(const Request& request) {
-  validate(request);
+  static const ServiceOptions k_defaults;
+  const RequestIdentity id = identity(request, k_defaults);
   // Stats and debug requests carry no payload: an empty fingerprint keeps
   // them away from the session cache (nothing to warm, nothing to evict).
-  if (std::holds_alternative<StatsRequest>(request) ||
-      std::holds_alternative<DebugRequest>(request)) {
-    return std::string();
-  }
-  return campaign::content_digest(payload_canonical(request));
+  return id.head.empty() ? std::string() : util::content_digest(id.payload);
+}
+
+sim::SimOptions sim_options(const SimulateRequest& request,
+                            const sim::SimOptions& base) {
+  sim::SimOptions options = base;
+  options.seed = request.seed;
+  options.scenario = request.scenario;
+  options.suppression = request.suppression;
+  if (request.max_steps.has_value()) options.max_steps = *request.max_steps;
+  return options;
 }
 
 }  // namespace fsr::api

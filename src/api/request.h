@@ -124,22 +124,55 @@ struct StatsRequest {};
 /// the empty fingerprint keeps it out of every cache layer by construction.
 struct DebugRequest {};
 
+/// Alternatives in RequestKind order: kind_of() is the variant index.
 using Request =
     std::variant<AnalyzeSafetyRequest, GroundTruthRequest, RepairRequest,
                  EmulateRequest, SimulateRequest, StatsRequest, DebugRequest>;
 
 RequestKind kind_of(const Request& request) noexcept;
 
+/// The tag heading a request's identity: the wire spelling, except
+/// "safety", "emulation" and "simulation" for analyze-safety, emulate and
+/// simulate (the campaign's scenario kinds, which share these tags).
+const char* identity_tag(RequestKind kind) noexcept;
+
 /// Throws fsr::InvalidArgument unless the request carries exactly the
 /// payload shape its kind needs (the service turns the throw into an
 /// error Response; callers may validate early for fail-fast behaviour).
 void validate(const Request& request);
 
-/// 16-hex content digest of the request's payload — kind-free and
-/// seed-free, so a ground-truth request and a repair request over the same
-/// instance share one fingerprint and hence one warm session-cache entry.
-/// Built from the campaign layer's canonical forms (campaign/cache.h).
+struct ServiceOptions;  // service.h
+
+/// A request's identity under a service's options: two requests share it
+/// exactly when the service answers both with the same deterministic
+/// bytes, so result caches key by it. Canonical forms keep the payload's
+/// construction order (never sorted): assertion order decides which
+/// minimal unsat core the solver reports.
+struct RequestIdentity {
+  std::string head;     // kind tag, "|seed=N" if seeded, payload shape tag
+  std::string payload;  // canonical payload; fingerprint() digests it
+  /// The ServiceOptions fields that shape the answer, behind a marker
+  /// ("|gt|", "|repair|", "|sim|"). Empty for analyze-safety (no option
+  /// shapes it) and emulate (EmulationOptions are not keyed: no front end
+  /// exposes them).
+  std::string options;
+
+  std::string text() const { return head + payload + options; }
+};
+
+/// Validates `request` like validate() and returns its identity. Stats and
+/// debug requests have an empty identity: live state is never cached.
+RequestIdentity identity(const Request& request, const ServiceOptions& options);
+
+/// 16-hex digest of the identity's payload — kind-free and seed-free, so
+/// requests of any kind over one instance share a warm session-cache entry.
+/// Empty for stats and debug requests.
 std::string fingerprint(const Request& request);
+
+/// `base` with a simulate request's seed, scenario, suppression policy and
+/// (when set) step budget applied.
+sim::SimOptions sim_options(const SimulateRequest& request,
+                            const sim::SimOptions& base);
 
 /// Lifetime counters of one AnalysisService (deltas since construction,
 /// carved out of the process-wide obs registry so a test or caller can

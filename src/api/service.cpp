@@ -328,12 +328,7 @@ Response AnalysisService::execute(const Job& job, SessionCache& cache,
       // solver state, so there is nothing to warm: the fingerprint still
       // identifies the content (shared with the other kinds over the same
       // instance), but the session cache is never consulted.
-      sim::SimOptions sim_options = options_.sim;
-      sim_options.seed = req->seed;
-      sim_options.scenario = req->scenario;
-      sim_options.suppression = req->suppression;
-      if (req->max_steps.has_value()) sim_options.max_steps = *req->max_steps;
-      response.sim = sim::simulate(*req->spp, sim_options);
+      response.sim = sim::simulate(*req->spp, sim_options(*req, options_.sim));
     } else if (std::get_if<StatsRequest>(&request) != nullptr) {
       // Live introspection: this service's own deltas plus the process
       // registry. No solver work, no session-cache traffic.

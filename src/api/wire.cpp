@@ -1,12 +1,14 @@
 #include "api/wire.h"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "algebra/standard_policies.h"
 #include "api/json.h"
-#include "campaign/scenario_source.h"
 #include "obs/metrics.h"
 #include "spp/gadgets.h"
+#include "spp/random.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -61,19 +63,23 @@ spp::SppInstance inline_spp(const json::Value& value) {
 spp::SppInstance random_spp(const json::Value& value) {
   const json::Value* seed = value.find("seed");
   if (seed == nullptr) throw InvalidArgument("random payload needs a seed");
-  campaign::RandomSppSweep sweep;
+  spp::RandomSppShape shape;
   const auto u64_field = [&](const char* key, std::int32_t& out) {
     if (const json::Value* field = value.find(key)) {
-      out = static_cast<std::int32_t>(field->as_u64(key));
+      // Saturate rather than wrap: an out-of-range value must reach the
+      // generator's ceiling checks as too large, not as a small valid one.
+      out = static_cast<std::int32_t>(
+          std::min<std::uint64_t>(field->as_u64(key),
+                                  std::numeric_limits<std::int32_t>::max()));
     }
   };
-  u64_field("min_nodes", sweep.min_nodes);
-  u64_field("max_nodes", sweep.max_nodes);
-  u64_field("paths_per_node", sweep.paths_per_node);
-  u64_field("max_path_length", sweep.max_path_length);
+  u64_field("min_nodes", shape.min_nodes);
+  u64_field("max_nodes", shape.max_nodes);
+  u64_field("paths_per_node", shape.paths_per_node);
+  u64_field("max_path_length", shape.max_path_length);
   const std::uint64_t seed_value = seed->as_u64("random.seed");
-  return campaign::random_spp_instance(
-      "random-" + std::to_string(seed_value), seed_value, sweep);
+  return spp::random_spp_instance("random-" + std::to_string(seed_value),
+                                  seed_value, shape);
 }
 
 /// Resolves the request's one payload into (spp, algebra); exactly one of
@@ -368,64 +374,44 @@ Request parse_request(const json::Value& body) {
     seed = seed_value->as_u64("seed");
   }
 
-  switch (*kind) {
-    case RequestKind::analyze_safety: {
-      AnalyzeSafetyRequest request;
-      request.algebra = std::move(payload.algebra);
-      request.spp = std::move(payload.spp);
-      validate(Request(request));
-      return request;
-    }
-    case RequestKind::ground_truth: {
-      GroundTruthRequest request;
-      request.spp = std::move(payload.spp);
-      if (const json::Value* mode_value = body.find("mode")) {
-        const std::optional<groundtruth::Mode> mode =
-            groundtruth::parse_mode(mode_value->as_string("mode"));
-        if (!mode.has_value()) {
-          throw InvalidArgument("unknown ground-truth mode '" +
-                                mode_value->as_string("mode") + "'");
-        }
-        request.mode = mode;
+  Request request;
+  if (*kind == RequestKind::analyze_safety) {
+    request = AnalyzeSafetyRequest{std::move(payload.algebra),
+                                   std::move(payload.spp)};
+  } else if (*kind == RequestKind::ground_truth) {
+    GroundTruthRequest truth{std::move(payload.spp), std::nullopt};
+    if (const json::Value* mode_value = body.find("mode")) {
+      truth.mode = groundtruth::parse_mode(mode_value->as_string("mode"));
+      if (!truth.mode.has_value()) {
+        throw InvalidArgument("unknown ground-truth mode '" +
+                              mode_value->as_string("mode") + "'");
       }
-      validate(Request(request));
-      return request;
     }
-    case RequestKind::repair: {
-      RepairRequest request;
-      request.spp = std::move(payload.spp);
-      request.seed = seed;
-      validate(Request(request));
-      return request;
+    request = std::move(truth);
+  } else if (*kind == RequestKind::repair) {
+    request = RepairRequest{std::move(payload.spp), seed};
+  } else if (*kind == RequestKind::emulate) {
+    EmulateRequest emulate;
+    emulate.spp = std::move(payload.spp);
+    emulate.seed = seed;
+    request = std::move(emulate);
+  } else {
+    SimulateRequest simulate;
+    simulate.spp = std::move(payload.spp);
+    simulate.seed = seed;
+    if (const json::Value* scenario = body.find("scenario")) {
+      simulate.scenario = scenario->as_string("scenario");
     }
-    case RequestKind::emulate: {
-      EmulateRequest request;
-      request.spp = std::move(payload.spp);
-      request.seed = seed;
-      validate(Request(request));
-      return request;
+    if (const json::Value* suppression = body.find("suppression")) {
+      simulate.suppression = suppression->as_string("suppression");
     }
-    case RequestKind::simulate: {
-      SimulateRequest request;
-      request.spp = std::move(payload.spp);
-      request.seed = seed;
-      if (const json::Value* scenario = body.find("scenario")) {
-        request.scenario = scenario->as_string("scenario");
-      }
-      if (const json::Value* suppression = body.find("suppression")) {
-        request.suppression = suppression->as_string("suppression");
-      }
-      if (const json::Value* max_steps = body.find("max-steps")) {
-        request.max_steps = max_steps->as_u64("max-steps");
-      }
-      validate(Request(request));
-      return request;
+    if (const json::Value* max_steps = body.find("max-steps")) {
+      simulate.max_steps = max_steps->as_u64("max-steps");
     }
-    case RequestKind::stats:
-    case RequestKind::debug:
-      break;  // handled above (payload-free)
+    request = std::move(simulate);
   }
-  throw InvalidArgument("unknown request kind");
+  validate(request);
+  return request;
 }
 
 std::string render_response(const Response& response,

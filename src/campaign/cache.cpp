@@ -5,175 +5,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-
-#include "groundtruth/engine.h"
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "obs/metrics.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace fsr::campaign {
-namespace {
-
-void append_path(std::string& out, const spp::Path& path) {
-  out += spp::path_name(path);
-}
-
-const char* pref_rel_spelling(algebra::PrefRel rel) {
-  switch (rel) {
-    case algebra::PrefRel::strictly_better:
-      return "<";
-    case algebra::PrefRel::equal:
-      return "=";
-    case algebra::PrefRel::better_or_equal:
-      return "<=";
-  }
-  return "<";
-}
-
-}  // namespace
-
-std::string canonical_spp(const spp::SppInstance& instance) {
-  std::string out = "dest=" + instance.destination() + ";edges=";
-  for (const auto& [u, v] : instance.edges()) {
-    out += u + "~" + v + ",";
-  }
-  out += ";paths=";
-  for (const std::string& node : instance.nodes()) {
-    out += node + ":";
-    for (const spp::Path& path : instance.permitted(node)) {
-      append_path(out, path);
-      out += ",";
-    }
-    out += ";";
-  }
-  return out;
-}
-
-std::string canonical_spec(const algebra::SymbolicSpec& spec) {
-  std::string out = "sigs=";
-  for (const std::string& sig : spec.signatures) out += sig + ",";
-  out += ";prefs=";
-  for (const auto& pref : spec.preferences) {
-    out += pref.lhs + pref_rel_spelling(pref.rel) + pref.rhs + ",";
-  }
-  out += ";exts=";
-  for (const auto& ext : spec.extensions) {
-    out += ext.label + "(+)" + ext.from_sig + "=" + ext.to_sig + ",";
-  }
-  out += ";templates=";
-  for (const auto& tmpl : spec.additive_templates) {
-    out += std::to_string(tmpl.delta) + ",";
-  }
-  return out;
-}
-
-std::string canonical_topology(const topology::Topology& topology) {
-  std::string out = "dest=" + topology.destination + ";nodes=";
-  for (const std::string& node : topology.nodes) out += node + ",";
-  out += ";links=";
-  for (const auto& link : topology.links) {
-    out += link.u + "~" + link.v + "[" + link.label_uv.to_string() + "/" +
-           link.label_vu.to_string() + "]" +
-           std::to_string(link.net_config.bandwidth_mbps) + "mbps," +
-           std::to_string(link.net_config.latency) + "us," +
-           std::to_string(link.net_config.max_jitter) + "j;";
-  }
-  out += ";domains=";
-  for (const auto& [node, domain] : topology.domain_of) {
-    out += node + "=" + domain + ",";
-  }
-  return out;
-}
-
-std::string scenario_cache_key(const Scenario& scenario) {
-  std::string out = to_string(scenario.kind);
-  if (scenario.kind == ScenarioKind::emulation ||
-      scenario.kind == ScenarioKind::simulation) {
-    // Emulation and simulation outcomes depend on the scenario seed
-    // (jitter and batching drift; link delays and churn schedules); safety
-    // verdicts do not.
-    out += "|seed=" + std::to_string(scenario.seed);
-  }
-  if (scenario.spp) {
-    out += "|spp|" + canonical_spp(*scenario.spp);
-  } else if (scenario.algebra) {
-    out += "|alg|" + scenario.algebra->name() + "|" +
-           canonical_spec(scenario.algebra->symbolic());
-    if (scenario.topology) out += "|topo|" + canonical_topology(*scenario.topology);
-  } else {
-    throw InvalidArgument("scenario '" + scenario.id +
-                          "' carries neither an SPP instance nor an algebra");
-  }
-  return out;
-}
-
-std::string scenario_cache_key(const Scenario& scenario,
-                               const sim::SimOptions& sim) {
-  std::string out = scenario_cache_key(scenario);
-  if (scenario.kind == ScenarioKind::simulation) {
-    // Every SimOptions knob that shapes a SimResult is keyed; the seed is
-    // already in the base key, and the detector (plus its test-only hash
-    // mask) is deliberately absent — both detectors are byte-identical (a
-    // tested property), so the ablation shares cache entries.
-    out += "|sim|scenario=" + sim.scenario +
-           ";suppression=" + sim.suppression +
-           ";mrai=" + std::to_string(sim.mrai_ticks) +
-           ";delay=" + std::to_string(sim.max_link_delay) +
-           ";steps=" + std::to_string(sim.max_steps);
-  }
-  return out;
-}
-
-std::string scenario_cache_key(const Scenario& scenario, bool attempt_repair,
-                               const repair::RepairOptions& repair,
-                               const sim::SimOptions& sim) {
-  std::string out = scenario_cache_key(scenario, sim);
-  if (attempt_repair && scenario.kind == ScenarioKind::safety &&
-      scenario.spp != nullptr) {
-    // Repair outcomes are content-determined (ground-truth trials are
-    // seeded from the content digest), so the marker carries no seed and
-    // duplicate-content scenarios still collapse to one solve. It DOES
-    // carry every option that shapes the outcome: the disk cache outlives
-    // the process, and a warm run under a different oracle, beam width, or
-    // budget must miss, not serve stale verdicts. use_incremental is
-    // deliberately absent — both SMT solver strategies produce identical
-    // reports unconditionally (a tested property), so that ablation shares
-    // cache entries. use_incremental_oracle IS keyed: the oracle paths
-    // agree only while no conflict budget dies mid-query (the persistent
-    // session's learned clauses can decide instances the scratch encode
-    // cannot afford), so cross-strategy sharing could serve a verdict the
-    // other strategy would abstain from.
-    out += "|repair|gt=";
-    out += groundtruth::to_string(repair.ground_truth);
-    if (repair.ground_truth == groundtruth::Mode::sat_search) {
-      out += repair.use_incremental_oracle ? "/session" : "/scratch";
-    }
-    out += ";edits=" + std::to_string(repair.max_edits) +
-           ";beam=" + std::to_string(repair.beam_width) +
-           ";checks=" + std::to_string(repair.max_checks) +
-           ";relax=" + (repair.allow_relax ? std::string("1") : "0") +
-           ";states=" + std::to_string(repair.ground_truth_max_states) +
-           ";conflicts=" + std::to_string(repair.ground_truth_max_conflicts) +
-           ";solutions=" + std::to_string(repair.ground_truth_max_solutions) +
-           ";spvp=" + std::to_string(repair.spvp_max_activations) + "x" +
-           std::to_string(repair.spvp_trials);
-  }
-  return out;
-}
-
-std::string content_digest(const std::string& canonical) {
-  std::uint64_t hash = fnv1a64(canonical);
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[hash & 0xf];
-    hash >>= 4;
-  }
-  return out;
-}
 
 // ------------------------------------------------------- disk persistence --
 //
@@ -737,10 +577,10 @@ void ResultCache::insert(const std::string& key,
   // guarantee would publish a torn record.
   static std::atomic<std::uint64_t> write_counter{0};
   const fs::path final_path =
-      fs::path(directory_) / (content_digest(key) + ".outcome");
+      fs::path(directory_) / (util::content_digest(key) + ".outcome");
   const fs::path temp_path =
       fs::path(directory_) /
-      (content_digest(key) + ".tmp." + std::to_string(::getpid()) + "." +
+      (util::content_digest(key) + ".tmp." + std::to_string(::getpid()) + "." +
        std::to_string(write_counter.fetch_add(1)));
   std::ofstream out(temp_path, std::ios::binary | std::ios::trunc);
   if (!out) return;  // best-effort: unwritable directory degrades gracefully
@@ -758,7 +598,7 @@ void ResultCache::insert(const std::string& key,
   // record is stamped now, so the sweep sheds older (least recently
   // accessed) files first.
   const std::lock_guard<std::mutex> lock(mutex_);
-  const std::string digest = content_digest(key);
+  const std::string digest = util::content_digest(key);
   digest_of_key_.emplace(key, digest);
   const auto [record_it, record_inserted] =
       disk_records_.emplace(digest, DiskRecord{});

@@ -2,18 +2,13 @@
 //
 // Scenarios generated by sweeps frequently repeat the same underlying
 // problem (the same gadget reached from two sources, the same extracted
-// iBGP instance under two parameter settings). The cache canonicalizes a
-// scenario's *content* — the SPP instance, symbolic spec, or annotated
-// topology it actually solves, never its display name — into a stable
-// textual form and keys outcomes by that form, so duplicated work is
-// solved once per campaign and reused across campaigns sharing a runner.
-//
-// Canonical forms are faithful serialisations in the payload's own
-// (deterministic) construction order, NOT sorted normal forms: assertion
-// order influences which minimal unsat core the solver reports, and two
-// scenarios may only share an outcome byte-for-byte when their constraint
-// streams are identical. Sorting would conflate instances whose reports
-// legitimately differ.
+// iBGP instance under two parameter settings). The runner keys each
+// scenario by the identity of the request it submits (api::identity: the
+// kind, the seed where results are seed-dependent, the canonical payload
+// it actually solves — never its display name — and the service options
+// that shape the answer), so duplicated work is solved once per campaign
+// and reused across campaigns sharing a runner. The cache itself treats
+// keys as opaque text.
 //
 // Persistence: constructed with a directory, the cache reloads every
 // previously stored outcome at startup and writes each insertion back as
@@ -39,57 +34,6 @@
 #include "campaign/scenario.h"
 
 namespace fsr::campaign {
-
-/// Canonical text of an SPP instance: destination, edges, and per-node
-/// ranked permitted paths. Excludes the instance name.
-std::string canonical_spp(const spp::SppInstance& instance);
-
-/// Canonical text of a symbolic spec: signatures, preference constraints,
-/// extension entries, and additive templates in spec order. Excludes the
-/// algebra name.
-std::string canonical_spec(const algebra::SymbolicSpec& spec);
-
-/// Canonical text of an annotated topology: nodes, destination, labelled
-/// links with their net configs, and domain markers. Excludes the name.
-std::string canonical_topology(const topology::Topology& topology);
-
-/// Full cache key of a scenario: kind tag + payload canonical form, plus
-/// the per-scenario seed for emulations and simulations (whose results are
-/// seed-dependent; safety verdicts are not).
-std::string scenario_cache_key(const Scenario& scenario);
-
-/// Cache key honouring the campaign's simulation configuration: a
-/// simulation scenario gains a sim marker embedding every SimOptions field
-/// that shapes a SimResult (churn scenario, suppression policy, MRAI
-/// window, link-delay bound, step budget) — with the cache persisted
-/// across processes, a warm run under a different --sim-scenario or
-/// --sim-mrai must miss, not serve a stale verdict keyed by seed alone.
-/// The detector choice and its test-only hash mask are deliberately
-/// absent: both detectors produce byte-identical SimResults (a tested
-/// property), so the detector ablation shares cache entries. Non-sim
-/// scenarios key exactly as scenario_cache_key(scenario).
-std::string scenario_cache_key(const Scenario& scenario,
-                               const sim::SimOptions& sim);
-
-/// Cache key honouring the campaign's repair mode AND simulation
-/// configuration: a repair-eligible scenario (SPP safety) gains a repair
-/// marker, so outcomes with and without repair data never alias in the
-/// cache. The marker embeds every RepairOptions field that shapes a repair
-/// outcome (oracle mode, edit and check budgets, relax switch, oracle
-/// budgets, SPVP trial counts) — with the cache persisted across
-/// processes, two runs differing only in --ground-truth must not serve
-/// each other's outcomes. The marker stays seed-free: repair summaries are
-/// content-determined (the runner seeds SPVP ground-truth trials from the
-/// content digest), so content dedup keeps collapsing duplicates with
-/// repair enabled. Simulation scenarios gain the sim marker documented on
-/// the SimOptions overload above.
-std::string scenario_cache_key(const Scenario& scenario, bool attempt_repair,
-                               const repair::RepairOptions& repair = {},
-                               const sim::SimOptions& sim = {});
-
-/// 64-bit FNV-1a digest of a canonical form, rendered as 16 hex digits —
-/// the short content id shown in reports.
-std::string content_digest(const std::string& canonical);
 
 /// Serialises `outcome` as the versioned text record the disk cache
 /// stores (exposed for tests and external tooling).

@@ -12,6 +12,7 @@
 #include "obs/trace.h"
 #include "spp/translate.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace fsr::campaign {
 namespace {
@@ -29,39 +30,36 @@ api::ServiceOptions service_options(const CampaignOptions& options) {
 }
 
 /// The scenario's primary request: safety analysis, emulation, or an
-/// event-driven simulation run.
+/// event-driven simulation run. validate_scenario() has pinned the payload
+/// shape, so every payload field copies straight across.
 api::Request primary_request(const Scenario& scenario,
                              const CampaignOptions& options) {
   if (scenario.kind == ScenarioKind::safety) {
-    api::AnalyzeSafetyRequest request;
-    // Prefer the algebra payload when both are present (translated SPP
-    // scenarios carry only the instance).
-    if (scenario.algebra != nullptr) {
-      request.algebra = scenario.algebra;
-    } else {
-      request.spp = scenario.spp;
-    }
-    return request;
+    return api::AnalyzeSafetyRequest{scenario.algebra, scenario.spp};
   }
-  if (scenario.kind == ScenarioKind::simulation) {
-    api::SimulateRequest request;
-    request.spp = scenario.spp;
-    request.seed = scenario.seed;
-    // The churn regime and suppression policy are campaign-wide: every
-    // simulation scenario runs under the one configuration from
-    // CampaignOptions.sim.
-    request.scenario = options.sim.scenario;
-    request.suppression = options.sim.suppression;
-    return request;
+  if (scenario.kind == ScenarioKind::emulation) {
+    return api::EmulateRequest{scenario.spp, scenario.algebra,
+                               scenario.topology, scenario.seed};
   }
-  api::EmulateRequest request;
+  api::SimulateRequest request;
+  request.spp = scenario.spp;
   request.seed = scenario.seed;
-  if (scenario.spp != nullptr) {
-    request.spp = scenario.spp;
-  } else {
-    request.algebra = scenario.algebra;
-    request.topology = scenario.topology;
-  }
+  // The churn regime and suppression policy are campaign-wide: every
+  // simulation scenario runs under the one configuration from
+  // CampaignOptions.sim.
+  request.scenario = options.sim.scenario;
+  request.suppression = options.sim.suppression;
+  return request;
+}
+
+/// The follow-up a repair campaign submits for a not-provably-safe SPP
+/// safety scenario. Seeded from the instance's content digest, so repair
+/// outcomes (like safety verdicts) stay a pure function of content and
+/// duplicates keep collapsing.
+api::RepairRequest repair_request(const Scenario& scenario) {
+  api::RepairRequest request;
+  request.spp = scenario.spp;
+  request.seed = util::fnv1a64(spp::canonical_spp(*scenario.spp));
   return request;
 }
 
@@ -133,6 +131,12 @@ CampaignReport CampaignRunner::run_scenarios(std::vector<Scenario> scenarios) {
   // here, before any request is submitted.
   constexpr std::size_t k_no_representative =
       std::numeric_limits<std::size_t>::max();
+  const api::ServiceOptions service_config = service_options(options_);
+  const auto repair_eligible = [this](const Scenario& scenario) {
+    return options_.attempt_repair && scenario.kind == ScenarioKind::safety &&
+           scenario.spp != nullptr;
+  };
+  std::vector<api::Request> requests(scenarios.size());
   std::vector<std::string> keys(scenarios.size());
   std::vector<std::size_t> representative(scenarios.size(),
                                           k_no_representative);
@@ -146,9 +150,15 @@ CampaignReport CampaignRunner::run_scenarios(std::vector<Scenario> scenarios) {
     result.kind = scenario.kind;
     result.seed = scenario.seed;
     validate_scenario(scenario);
-    keys[i] = scenario_cache_key(scenario, options_.attempt_repair,
-                                 options_.repair, options_.sim);
-    result.content_id = content_digest(keys[i]);
+    // Keyed by the identity of the submitted request, plus the option part
+    // of a repair follow-up (never its content-derived seed), so outcomes
+    // with and without repair data never alias.
+    requests[i] = primary_request(scenario, options_);
+    keys[i] = api::identity(requests[i], service_config).text();
+    if (repair_eligible(scenario)) {
+      keys[i] += api::identity(repair_request(scenario), service_config).options;
+    }
+    result.content_id = util::content_digest(keys[i]);
 
     const auto [it, inserted] = first_with_key.emplace(keys[i], i);
     if (!inserted) {
@@ -172,20 +182,16 @@ CampaignReport CampaignRunner::run_scenarios(std::vector<Scenario> scenarios) {
   // -------- parallel phase: dispatch unique scenarios through the API --
   // The service owns the worker pool (and, per worker, the solver-session
   // invariants the runner used to guarantee inline — see api/service.h).
-  // Two waves keep repair requests content-gated exactly as before: the
-  // primary wave answers safety/emulation, and every not-provably-safe SPP
-  // safety scenario of a repair campaign gets a follow-up repair request
-  // seeded from its content digest, so repair outcomes (like safety
-  // verdicts) stay a pure function of content and the cache/dedup
-  // machinery keeps collapsing duplicates.
+  // Two waves keep repair requests content-gated: the primary wave answers
+  // safety/emulation/simulation, and every not-provably-safe SPP safety
+  // scenario of a repair campaign gets a follow-up repair_request().
   std::vector<std::shared_ptr<const ScenarioOutcome>> outcomes(
       scenarios.size());
-  api::AnalysisService service(service_options(options_));
+  api::AnalysisService service(service_config);
   std::vector<std::future<api::Response>> primary;
   primary.reserve(work.size());
   for (const std::size_t index : work) {
-    primary.push_back(
-        service.submit(primary_request(scenarios[index], options_)));
+    primary.push_back(service.submit(std::move(requests[index])));
   }
 
   std::vector<std::pair<std::size_t, std::future<api::Response>>> followups;
@@ -202,14 +208,10 @@ CampaignReport CampaignRunner::run_scenarios(std::vector<Scenario> scenarios) {
       outcome->emulation = response.emulation;
     }
     if (response.sim.has_value()) outcome->sim = response.sim;
-    if (options_.attempt_repair && response.error.empty() &&
-        scenario.kind == ScenarioKind::safety && scenario.spp != nullptr &&
+    if (repair_eligible(scenario) && response.error.empty() &&
         outcome->safety.has_value() &&
         outcome->safety->verdict == SafetyVerdict::not_provably_safe) {
-      api::RepairRequest request;
-      request.spp = scenario.spp;
-      request.seed = fnv1a64(canonical_spp(*scenario.spp));
-      followups.emplace_back(index, service.submit(std::move(request)));
+      followups.emplace_back(index, service.submit(repair_request(scenario)));
     }
     outcomes[index] = std::move(outcome);
   };

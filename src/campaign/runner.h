@@ -1,7 +1,8 @@
 // Parallel campaign execution.
 //
 // The CampaignRunner expands scenario sources, deduplicates scenarios by
-// canonical content (and consults its persistent ResultCache), then
+// the identity of the request each one submits (api::identity; the same
+// key consults its persistent ResultCache), then
 // dispatches the remaining unique work through the fsr::api service façade
 // (api/service.h): one AnalysisService per run owns the worker pool, and
 // each service worker owns its solver sessions — the

@@ -1,30 +1,16 @@
 #include "campaign/scenario.h"
 
+#include "api/request.h"
 #include "util/error.h"
 #include "util/strings.h"
 
 namespace fsr::campaign {
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 const char* to_string(ScenarioKind kind) noexcept {
-  switch (kind) {
-    case ScenarioKind::safety:
-      return "safety";
-    case ScenarioKind::emulation:
-      return "emulation";
-    case ScenarioKind::simulation:
-      return "simulation";
-  }
-  return "safety";
+  constexpr api::RequestKind k_submits[] = {api::RequestKind::analyze_safety,
+                                            api::RequestKind::emulate,
+                                            api::RequestKind::simulate};
+  return api::identity_tag(k_submits[static_cast<std::size_t>(kind)]);
 }
 
 void validate_scenario(const Scenario& scenario) {
@@ -34,8 +20,7 @@ void validate_scenario(const Scenario& scenario) {
   bool ok = false;
   if (scenario.kind == ScenarioKind::safety) {
     // Exactly one analysis target: an SPP instance is itself translated to
-    // an algebra, so carrying both would make the cache key (spp content)
-    // and the executed work (the algebra) disagree.
+    // an algebra, so carrying both would leave one of them silently unused.
     ok = (has_spp != has_algebra) && !has_topology;
   } else if (scenario.kind == ScenarioKind::simulation) {
     // The event-driven simulator runs concrete SPP instances only.
@@ -53,12 +38,11 @@ void validate_scenario(const Scenario& scenario) {
   }
 }
 
-std::uint64_t fnv1a64(const std::string& text) { return util::fnv1a64(text); }
-
 std::uint64_t derive_scenario_seed(std::uint64_t campaign_seed,
                                    const std::string& id,
                                    std::uint64_t ordinal) {
-  return splitmix64(campaign_seed ^ splitmix64(fnv1a64(id) + ordinal));
+  return util::splitmix64(campaign_seed ^
+                          util::splitmix64(util::fnv1a64(id) + ordinal));
 }
 
 }  // namespace fsr::campaign

@@ -27,6 +27,8 @@ namespace fsr::campaign {
 
 enum class ScenarioKind { safety, emulation, simulation };
 
+/// Spelled as the identity tag of the request kind the scenario submits
+/// (api::identity_tag): "safety", "emulation", "simulation".
 const char* to_string(ScenarioKind kind) noexcept;
 
 /// One unit of campaign work. Exactly one of the following shapes:
@@ -76,10 +78,6 @@ struct ScenarioOutcome {
 /// the four shapes documented on Scenario (so a malformed scenario fails
 /// fast in the runner's scheduling phase instead of crashing a worker).
 void validate_scenario(const Scenario& scenario);
-
-/// 64-bit FNV-1a — the subsystem's one content-hash primitive, shared by
-/// seed derivation and cache digests.
-std::uint64_t fnv1a64(const std::string& text);
 
 /// Derives the seed of scenario `ordinal` named `id` within a campaign:
 /// a splitmix64 finalizer over the campaign seed and an FNV-1a hash of the

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "campaign/scenario.h"
+#include "spp/random.h"
 
 namespace fsr::campaign {
 
@@ -91,11 +92,7 @@ struct AsHierarchySweep {
 
 struct RandomSppSweep {
   std::int32_t count = 8;
-  std::int32_t min_nodes = 3;
-  std::int32_t max_nodes = 6;
-  double extra_edge_probability = 0.3;
-  std::int32_t paths_per_node = 3;
-  std::int32_t max_path_length = 5;
+  spp::RandomSppShape shape;
 };
 
 struct RepairTargetSweep {
@@ -144,13 +141,6 @@ spp::SppInstance spp_from_topology(std::string name,
                                    std::int32_t max_path_edges,
                                    std::size_t max_candidates,
                                    std::size_t paths_per_node);
-
-/// Builds a random-but-valid SPP instance: a connected graph rooted at the
-/// destination plus extra edges, with up to `paths_per_node` randomly
-/// ranked permitted paths per node. Deterministic in `seed`. Exposed for
-/// tests and the fuzz sweep.
-spp::SppInstance random_spp_instance(std::string name, std::uint64_t seed,
-                                     const RandomSppSweep& sweep);
 
 }  // namespace fsr::campaign
 

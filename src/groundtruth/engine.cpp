@@ -103,6 +103,13 @@ const char* to_string(Mode mode) noexcept {
   return "sat-search";
 }
 
+std::string options_key(Mode mode, const Options& options) {
+  return std::string("mode=") + to_string(mode) +
+         ";states=" + std::to_string(options.max_states) +
+         ";solutions=" + std::to_string(options.max_solutions) +
+         ";conflicts=" + std::to_string(options.max_conflicts);
+}
+
 std::optional<Mode> parse_mode(const std::string& text) {
   if (text == "enumerate") return Mode::enumerate;
   if (text == "sat-search") return Mode::sat_search;

@@ -60,6 +60,9 @@ struct Options {
   std::uint64_t max_conflicts = std::uint64_t{1} << 20;
 };
 
+/// Key text of the backend and every Options field that shapes a Result.
+std::string options_key(Mode mode, const Options& options);
+
 struct Result {
   /// True when the backend established the existence verdict. False means
   /// the budget ran out (enumerate: state cap; sat-search: conflict cap)

@@ -2,31 +2,9 @@
 
 #include <algorithm>
 
+#include "util/strings.h"
+
 namespace fsr::netserve {
-
-namespace {
-
-/// splitmix64 finisher: avalanches a vnode's (shard, index) pair into a
-/// ring point. The constants are the reference ones (Steele et al.).
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
-std::uint64_t fingerprint_hash(std::string_view text) noexcept {
-  // FNV-1a 64-bit; fingerprints are short hex strings, so the simple
-  // byte-at-a-time loop is already sub-microsecond.
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
 
 ShardRouter::ShardRouter(std::size_t shards, std::size_t vnodes_per_shard)
     : shards_(shards == 0 ? 1 : shards) {
@@ -37,9 +15,9 @@ ShardRouter::ShardRouter(std::size_t shards, std::size_t vnodes_per_shard)
       // A vnode's point depends only on its own (shard, vnode) pair, so a
       // ring of N shards is a subset of the ring of N+1 shards — the
       // consistency property.
-      const std::uint64_t point = mix64((static_cast<std::uint64_t>(shard)
-                                         << 32) |
-                                        static_cast<std::uint64_t>(vnode));
+      const std::uint64_t point =
+          util::splitmix64((static_cast<std::uint64_t>(shard) << 32) |
+                           static_cast<std::uint64_t>(vnode));
       ring_.emplace_back(point, static_cast<std::uint32_t>(shard));
     }
   }
@@ -47,7 +25,7 @@ ShardRouter::ShardRouter(std::size_t shards, std::size_t vnodes_per_shard)
 }
 
 std::size_t ShardRouter::shard_of(std::string_view fingerprint) const noexcept {
-  const std::uint64_t key = fingerprint_hash(fingerprint);
+  const std::uint64_t key = util::fnv1a64(fingerprint);
   // First ring point at or clockwise of the key, wrapping at the top.
   auto it = std::lower_bound(
       ring_.begin(), ring_.end(), key,

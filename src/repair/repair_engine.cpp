@@ -807,6 +807,24 @@ RepairReport RepairEngine::repair(const spp::SppInstance& instance,
   return report;
 }
 
+std::string options_key(const RepairOptions& options) {
+  std::string out = "gt=";
+  out += groundtruth::to_string(options.ground_truth);
+  if (options.ground_truth == groundtruth::Mode::sat_search) {
+    out += options.use_incremental_oracle ? "/session" : "/scratch";
+  }
+  out += ";edits=" + std::to_string(options.max_edits) +
+         ";beam=" + std::to_string(options.beam_width) +
+         ";checks=" + std::to_string(options.max_checks) +
+         ";relax=" + (options.allow_relax ? "1" : "0") +
+         ";states=" + std::to_string(options.ground_truth_max_states) +
+         ";conflicts=" + std::to_string(options.ground_truth_max_conflicts) +
+         ";solutions=" + std::to_string(options.ground_truth_max_solutions) +
+         ";spvp=" + std::to_string(options.spvp_max_activations) + "x" +
+         std::to_string(options.spvp_trials);
+  return out;
+}
+
 RepairSummary summarize(const RepairReport& report) {
   RepairSummary summary;
   summary.attempted = true;

@@ -223,6 +223,14 @@ struct RepairSummary {
 
 RepairSummary summarize(const RepairReport& report);
 
+/// Key text of the RepairOptions fields that shape a RepairReport.
+/// `use_incremental` is deliberately absent: both SMT solver strategies
+/// report identically (a tested property), so that ablation shares cache
+/// entries. `use_incremental_oracle` IS keyed under sat-search: the oracle
+/// paths agree only while no conflict budget dies mid-query, so sharing
+/// could serve a verdict the other strategy would abstain from.
+std::string options_key(const RepairOptions& options);
+
 }  // namespace fsr::repair
 
 #endif  // FSR_REPAIR_REPAIR_ENGINE_H

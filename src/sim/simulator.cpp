@@ -896,6 +896,14 @@ bool is_suppression_name(const std::string& name) {
   return false;
 }
 
+std::string options_key(const SimOptions& options) {
+  return "scenario=" + options.scenario +
+         ";suppression=" + options.suppression +
+         ";mrai=" + std::to_string(options.mrai_ticks) +
+         ";delay=" + std::to_string(options.max_link_delay) +
+         ";steps=" + std::to_string(options.max_steps);
+}
+
 SimResult simulate(const SppInstance& instance, const SimOptions& options) {
   if (!is_scenario_name(options.scenario)) {
     throw InvalidArgument("unknown simulation scenario '" + options.scenario +

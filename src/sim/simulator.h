@@ -169,6 +169,13 @@ struct SimResult {
 /// unknown scenario/suppression/detector name or a zero max_steps.
 SimResult simulate(const spp::SppInstance& instance, const SimOptions& options);
 
+/// Key text of the SimOptions fields that shape a SimResult, except the
+/// seed (which request identities key separately). The detector and its
+/// hash mask are deliberately absent: both detectors produce byte-identical
+/// SimResults (a tested property), so the ablation shares cache entries.
+/// `record_trace` only fills SimResult::trace, which no response carries.
+std::string options_key(const SimOptions& options);
+
 }  // namespace fsr::sim
 
 #endif  // FSR_SIM_SIMULATOR_H

@@ -259,4 +259,20 @@ SpvpResult simulate_spvp(const SppInstance& instance, util::Rng& rng,
   return result;
 }
 
+std::string canonical_spp(const SppInstance& instance) {
+  std::string out = "dest=" + instance.destination() + ";edges=";
+  for (const auto& [u, v] : instance.edges()) {
+    out += u + "~" + v + ",";
+  }
+  out += ";paths=";
+  for (const std::string& node : instance.nodes()) {
+    out += node + ":";
+    for (const Path& path : instance.permitted(node)) {
+      out += path_name(path) + ",";
+    }
+    out += ";";
+  }
+  return out;
+}
+
 }  // namespace fsr::spp

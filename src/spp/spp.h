@@ -155,6 +155,10 @@ struct SpvpResult {
 SpvpResult simulate_spvp(const SppInstance& instance, util::Rng& rng,
                          std::uint64_t max_activations = 100000);
 
+/// Canonical text of an instance: destination, edges, and per-node ranked
+/// permitted paths, in construction order. Excludes the instance name.
+std::string canonical_spp(const SppInstance& instance);
+
 }  // namespace fsr::spp
 
 #endif  // FSR_SPP_SPP_H

@@ -87,13 +87,31 @@ std::string json_quoted(const std::string& text) {
   return out;
 }
 
-std::uint64_t fnv1a64(const std::string& text) {
+std::uint64_t fnv1a64(std::string_view text) noexcept {
   std::uint64_t hash = 0xcbf29ce484222325ull;
   for (const char c : text) {
     hash ^= static_cast<unsigned char>(c);
     hash *= 0x100000001b3ull;
   }
   return hash;
+}
+
+std::uint64_t splitmix64(std::uint64_t x) noexcept {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+std::string content_digest(const std::string& text) {
+  std::uint64_t hash = fnv1a64(text);
+  static const char* digits = "0123456789abcdef";
+  std::string out(16, '0');
+  for (int i = 15; i >= 0; --i) {
+    out[static_cast<std::size_t>(i)] = digits[hash & 0xf];
+    hash >>= 4;
+  }
+  return out;
 }
 
 }  // namespace fsr::util

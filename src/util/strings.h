@@ -36,8 +36,16 @@ std::string json_escape(const std::string& text);
 std::string json_quoted(const std::string& text);
 
 /// 64-bit FNV-1a — the toolkit's one content-hash primitive (seed
-/// derivation, cache digests, repair trial seeds).
-std::uint64_t fnv1a64(const std::string& text);
+/// derivation, cache digests, repair trial seeds, shard placement).
+std::uint64_t fnv1a64(std::string_view text) noexcept;
+
+/// The splitmix64 finalizer (reference constants, Steele et al.):
+/// avalanches a 64-bit value for seed derivation and hash rings.
+std::uint64_t splitmix64(std::uint64_t x) noexcept;
+
+/// fnv1a64 of `text` rendered as 16 lowercase hex digits — the short
+/// content id of request fingerprints, campaign reports, and cache files.
+std::string content_digest(const std::string& text);
 
 }  // namespace fsr::util
 

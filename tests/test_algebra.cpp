@@ -10,8 +10,8 @@
 #include "algebra/finite_algebra.h"
 #include "algebra/lexical_product.h"
 #include "algebra/standard_policies.h"
-#include "campaign/scenario_source.h"
 #include "spp/gadgets.h"
+#include "spp/random.h"
 #include "spp/translate.h"
 #include "util/error.h"
 
@@ -373,9 +373,9 @@ TEST(SymbolicSpec, GadgetTranslationsMatchTheLabelBySignatureWalk) {
 
 TEST(SymbolicSpec, RandomTranslationsMatchTheLabelBySignatureWalk) {
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
-    campaign::RandomSppSweep sweep;
+    spp::RandomSppShape sweep;
     sweep.min_nodes = sweep.max_nodes = 3 + static_cast<int>(seed % 12);
-    const spp::SppInstance instance = campaign::random_spp_instance(
+    const spp::SppInstance instance = spp::random_spp_instance(
         "random-" + std::to_string(seed), seed, sweep);
     EXPECT_EQ(expect_oracle_extensions(*spp::algebra_from_spp(instance)), 1)
         << instance.name();

@@ -11,15 +11,18 @@
 #include <fstream>
 #include <set>
 
+#include "algebra/standard_policies.h"
+#include "api/request.h"
+#include "api/service.h"
 #include "campaign/cache.h"
 #include "campaign/report.h"
 #include "campaign/runner.h"
 #include "campaign/scenario.h"
-#include "algebra/standard_policies.h"
 #include "campaign/scenario_source.h"
 #include "spp/gadgets.h"
 #include "topology/as_hierarchy.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace fsr::campaign {
 namespace {
@@ -57,60 +60,122 @@ TEST(ScenarioSource, GeneratesUniqueIdsWithDerivedSeeds) {
   }
 }
 
-// -------------------------------------------------------- canonical forms --
+// ------------------------------------------------------ request identity --
+//
+// The runner keys each scenario by api::identity of the request it submits
+// (plus, in a repair campaign, its follow-up repair request's option part).
 
-TEST(Cache, CanonicalSppIgnoresNameButNotContent) {
-  spp::SppInstance renamed = spp::good_gadget();
-  EXPECT_EQ(canonical_spp(spp::good_gadget()), canonical_spp(renamed));
-  EXPECT_NE(canonical_spp(spp::good_gadget()),
-            canonical_spp(spp::bad_gadget()));
+std::string identity_text(const api::Request& request,
+                          const api::ServiceOptions& options = {}) {
+  return api::identity(request, options).text();
 }
 
-TEST(Cache, ScenarioKeySeparatesKindsAndEmulationSeeds) {
+TEST(Identity, SeparatesKindsAndSeedsOverOnePayload) {
+  const auto gadget =
+      std::make_shared<const spp::SppInstance>(spp::good_gadget());
+  api::AnalyzeSafetyRequest safety;
+  safety.spp = gadget;
+  api::EmulateRequest emulation;
+  emulation.spp = gadget;
+  emulation.seed = 7;
+  api::SimulateRequest simulation;
+  simulation.spp = gadget;
+  simulation.seed = 7;
+  api::EmulateRequest emulation_reseeded = emulation;
+  emulation_reseeded.seed = 8;
+  api::SimulateRequest simulation_reseeded = simulation;
+  simulation_reseeded.seed = 8;
+
+  EXPECT_NE(identity_text(safety), identity_text(emulation));
+  EXPECT_NE(identity_text(safety), identity_text(simulation));
+  EXPECT_NE(identity_text(emulation), identity_text(simulation));
+  EXPECT_NE(identity_text(emulation), identity_text(emulation_reseeded));
+  EXPECT_NE(identity_text(simulation), identity_text(simulation_reseeded));
+  // The payload part is kind-free and seed-free: fingerprint() digests it.
+  const api::ServiceOptions options;
+  EXPECT_EQ(api::identity(safety, options).payload,
+            api::identity(emulation_reseeded, options).payload);
+  EXPECT_EQ(api::fingerprint(simulation),
+            util::content_digest(api::identity(safety, options).payload));
+}
+
+TEST(Identity, SafetyKeysAreSeedFreeWithAndWithoutRepair) {
+  // Safety verdicts are seed-independent and repair follow-ups are seeded
+  // from content, so scenarios differing only in seed share one key (and
+  // one solve) in plain and repair campaigns alike.
   Scenario safety;
   safety.id = "x";
   safety.kind = ScenarioKind::safety;
   safety.seed = 7;
-  safety.spp = std::make_shared<const spp::SppInstance>(spp::good_gadget());
-
-  Scenario emulation = safety;
-  emulation.kind = ScenarioKind::emulation;
-
-  // Safety verdicts are seed-independent; emulations are not.
-  Scenario safety_reseeded = safety;
-  safety_reseeded.seed = 8;
-  Scenario emulation_reseeded = emulation;
-  emulation_reseeded.seed = 8;
-
-  EXPECT_NE(scenario_cache_key(safety), scenario_cache_key(emulation));
-  EXPECT_EQ(scenario_cache_key(safety), scenario_cache_key(safety_reseeded));
-  EXPECT_NE(scenario_cache_key(emulation),
-            scenario_cache_key(emulation_reseeded));
+  safety.spp = std::make_shared<const spp::SppInstance>(spp::bad_gadget());
+  Scenario reseeded = safety;
+  reseeded.id = "y";
+  reseeded.seed = 8;
+  for (const bool attempt_repair : {false, true}) {
+    CampaignOptions options;
+    options.attempt_repair = attempt_repair;
+    CampaignRunner runner(options);
+    const CampaignReport report = runner.run_scenarios({safety, reseeded});
+    EXPECT_EQ(report.results[0].content_id, report.results[1].content_id);
+    EXPECT_TRUE(report.results[1].deduplicated);
+  }
 }
 
-TEST(Cache, PayloadlessScenarioRejected) {
+TEST(Identity, PayloadlessScenarioRejected) {
   Scenario empty;
   empty.id = "empty";
-  EXPECT_THROW(scenario_cache_key(empty), InvalidArgument);
+  EXPECT_THROW(validate_scenario(empty), InvalidArgument);
+  EXPECT_THROW(api::identity(api::AnalyzeSafetyRequest{}, {}), InvalidArgument);
 }
 
-// -------------------------------------------------------------- random spp --
+TEST(CampaignRunner, ContentIdsKeepTheirPublishedValues) {
+  // Report content ids and on-disk <digest>.outcome records are digests of
+  // the scenario keys, so every key shape must keep its exact bytes: one
+  // scenario per shape, each id pinned to the value campaigns have always
+  // reported for it.
+  const auto bad = std::make_shared<const spp::SppInstance>(spp::bad_gadget());
+  const auto good =
+      std::make_shared<const spp::SppInstance>(spp::good_gadget());
+  const auto scenario = [](std::string id, ScenarioKind kind) {
+    Scenario out;
+    out.id = std::move(id);
+    out.kind = kind;
+    out.seed = 7;
+    return out;
+  };
+  Scenario safety_spp = scenario("safety-spp", ScenarioKind::safety);
+  safety_spp.spp = bad;
+  Scenario safety_algebra = scenario("safety-alg", ScenarioKind::safety);
+  safety_algebra.algebra = algebra::gao_rexford_guideline_a();
+  Scenario emulation_spp = scenario("emu-spp", ScenarioKind::emulation);
+  emulation_spp.spp = good;
+  Scenario emulation_gpv = scenario("emu-gpv", ScenarioKind::emulation);
+  emulation_gpv.algebra = algebra::gao_rexford_guideline_a();
+  topology::AsHierarchyParams params;
+  params.depth = 3;
+  params.seed = 1;
+  emulation_gpv.topology = std::make_shared<const topology::Topology>(
+      topology::generate_as_hierarchy(params, topology::LabelScheme::business));
+  Scenario simulation = scenario("sim", ScenarioKind::simulation);
+  simulation.spp = bad;
 
-TEST(RandomSpp, DeterministicValidInstances) {
-  const RandomSppSweep sweep;
-  const spp::SppInstance one = random_spp_instance("r", 123, sweep);
-  const spp::SppInstance two = random_spp_instance("r", 123, sweep);
-  EXPECT_EQ(canonical_spp(one), canonical_spp(two));
-  EXPECT_NE(canonical_spp(one),
-            canonical_spp(random_spp_instance("r", 124, sweep)));
-  EXPECT_GT(one.permitted_path_count(), 0u);
-  // Every generated path passed SppInstance validation (edges declared,
-  // simple, destination-terminated) or add_permitted_path would have
-  // thrown during construction.
-  for (const std::string& node : one.nodes()) {
-    EXPECT_LE(one.permitted(node).size(),
-              static_cast<std::size_t>(sweep.paths_per_node));
-  }
+  CampaignRunner plain;
+  const CampaignReport report = plain.run_scenarios(
+      {safety_spp, safety_algebra, emulation_spp, emulation_gpv, simulation});
+  EXPECT_EQ(report.results[0].content_id, "3ec2287ed3604d3b");
+  EXPECT_EQ(report.results[1].content_id, "883696a88f38adc9");
+  EXPECT_EQ(report.results[2].content_id, "fab8813863a4fd76");
+  EXPECT_EQ(report.results[3].content_id, "6fe59ec7900a52f0");
+  EXPECT_EQ(report.results[4].content_id, "7a70e4dbb8254be2");
+
+  // The repair marker reshapes only repair-eligible (SPP safety) keys.
+  CampaignOptions options;
+  options.attempt_repair = true;
+  CampaignRunner repairing(options);
+  const CampaignReport repaired =
+      repairing.run_scenarios({safety_spp, safety_algebra});
+  EXPECT_EQ(repaired.results[0].content_id, "f4267317396c2402");
+  EXPECT_EQ(repaired.results[1].content_id, "883696a88f38adc9");
 }
 
 // ----------------------------------------------------------- determinism --
@@ -379,83 +444,92 @@ TEST(CampaignRunner, RepairOffLeavesReportUnchanged) {
   EXPECT_TRUE(report.repair_edit_size_histogram().empty());
 }
 
-TEST(Cache, RepairModeSeparatesKeys) {
-  Scenario safety;
-  safety.id = "x";
-  safety.kind = ScenarioKind::safety;
-  safety.seed = 7;
-  safety.spp = std::make_shared<const spp::SppInstance>(spp::bad_gadget());
-  // Outcomes with repair data must not alias plain safety outcomes, but
-  // repair results are content-determined (SPVP trials seeded from the
-  // content digest), so the repair key stays seed-free and duplicates
-  // still dedup.
-  EXPECT_NE(scenario_cache_key(safety, true), scenario_cache_key(safety, false));
-  EXPECT_EQ(scenario_cache_key(safety, false), scenario_cache_key(safety));
-  Scenario reseeded = safety;
-  reseeded.seed = 8;
-  EXPECT_EQ(scenario_cache_key(safety, true),
-            scenario_cache_key(reseeded, true));
-  EXPECT_EQ(scenario_cache_key(safety, false),
-            scenario_cache_key(reseeded, false));
+TEST(Identity, RepairOptionPartKeysEveryShapingField) {
+  // The disk cache outlives the process: a warm run under a different
+  // oracle, beam width, or budget must miss, not serve stale verdicts.
+  api::RepairRequest request;
+  request.spp = std::make_shared<const spp::SppInstance>(spp::bad_gadget());
+  request.seed = 1;
+  const std::string base = api::identity(request, {}).options;
+  const auto part = [&request](auto mutate) {
+    api::ServiceOptions options;
+    mutate(options.repair);
+    return api::identity(request, options).options;
+  };
+  using Options = repair::RepairOptions;
+  EXPECT_NE(part([](Options& o) { o.max_edits = 3; }), base);
+  EXPECT_NE(part([](Options& o) { o.beam_width = 8; }), base);
+  EXPECT_NE(part([](Options& o) { o.max_checks = 100; }), base);
+  EXPECT_NE(part([](Options& o) { o.use_incremental_oracle = false; }), base);
+  EXPECT_NE(part([](Options& o) { o.allow_relax = false; }), base);
+  EXPECT_NE(part([](Options& o) {
+              o.ground_truth = groundtruth::Mode::enumerate;
+            }),
+            base);
+  EXPECT_NE(part([](Options& o) { o.ground_truth_max_states = 7; }), base);
+  EXPECT_NE(part([](Options& o) { o.ground_truth_max_conflicts = 7; }), base);
+  EXPECT_NE(part([](Options& o) { o.ground_truth_max_solutions = 7; }), base);
+  EXPECT_NE(part([](Options& o) { o.spvp_max_activations = 7; }), base);
+  EXPECT_NE(part([](Options& o) { o.spvp_trials = 7; }), base);
+  // Both SMT solver strategies report identically (a tested property), so
+  // that ablation shares cache entries.
+  EXPECT_EQ(part([](Options& o) { o.use_incremental = false; }), base);
 
-  // Algebra scenarios are not repair-eligible; their key is mode-invariant.
-  Scenario algebra_scenario;
-  algebra_scenario.id = "alg";
-  algebra_scenario.kind = ScenarioKind::safety;
-  algebra_scenario.algebra = algebra::gao_rexford_guideline_a();
-  EXPECT_EQ(scenario_cache_key(algebra_scenario, true),
-            scenario_cache_key(algebra_scenario, false));
+  // The seed belongs to the request's head, not its option part: the
+  // campaign's repair marker stays seed-free.
+  api::RepairRequest reseeded = request;
+  reseeded.seed = 2;
+  EXPECT_EQ(api::identity(reseeded, {}).options, base);
+  EXPECT_NE(identity_text(reseeded), identity_text(request));
 }
 
-TEST(Cache, SimConfigSeparatesKeys) {
+TEST(Identity, SimOptionPartKeysEveryShapingField) {
   // The PR-9 regression: simulation outcomes depend on the whole sim
-  // configuration, not just the per-scenario seed, so every axis that can
+  // configuration, not just the per-run seed, so every axis that can
   // change the run must land in the key — records written under one config
   // must never satisfy a lookup under another.
-  Scenario simulation;
-  simulation.id = "s";
-  simulation.kind = ScenarioKind::simulation;
-  simulation.seed = 7;
-  simulation.spp =
-      std::make_shared<const spp::SppInstance>(spp::bad_gadget());
-  const sim::SimOptions base;
-  const std::string base_key = scenario_cache_key(simulation, base);
+  api::SimulateRequest request;
+  request.spp = std::make_shared<const spp::SppInstance>(spp::bad_gadget());
+  request.seed = 7;
+  const std::string base = identity_text(request);
+  const auto with = [&request](auto mutate) {
+    api::ServiceOptions options;
+    mutate(options.sim);
+    return identity_text(request, options);
+  };
 
-  sim::SimOptions churn = base;
+  // Scenario, suppression, and a step-budget override travel on the
+  // request (the campaign copies its sim regime into every request).
+  api::SimulateRequest churn = request;
   churn.scenario = "link-flap";
-  EXPECT_NE(scenario_cache_key(simulation, churn), base_key);
-  sim::SimOptions suppressed = base;
+  EXPECT_NE(identity_text(churn), base);
+  api::SimulateRequest suppressed = request;
   suppressed.suppression = "split-horizon";
-  EXPECT_NE(scenario_cache_key(simulation, suppressed), base_key);
-  sim::SimOptions mrai = base;
-  mrai.mrai_ticks = 5;
-  EXPECT_NE(scenario_cache_key(simulation, mrai), base_key);
-  sim::SimOptions slower_links = base;
-  slower_links.max_link_delay = 9;
-  EXPECT_NE(scenario_cache_key(simulation, slower_links), base_key);
-  sim::SimOptions tighter_budget = base;
-  tighter_budget.max_steps = 64;
-  EXPECT_NE(scenario_cache_key(simulation, tighter_budget), base_key);
+  EXPECT_NE(identity_text(suppressed), base);
+  api::SimulateRequest capped = request;
+  capped.max_steps = 64;
+  EXPECT_NE(identity_text(capped), base);
+  api::SimulateRequest reseeded = request;
+  reseeded.seed = 8;
+  EXPECT_NE(identity_text(reseeded), base);
+
+  using Options = sim::SimOptions;
+  EXPECT_NE(with([](Options& o) { o.mrai_ticks = 5; }), base);
+  EXPECT_NE(with([](Options& o) { o.max_link_delay = 9; }), base);
+  EXPECT_NE(with([](Options& o) { o.max_steps = 64; }), base);
 
   // The detector axes are deliberately NOT keyed: the differential suite
   // proves both detectors byte-identical (and the hash mask is verified
   // away), so their records are interchangeable by construction.
-  sim::SimOptions canonical = base;
-  canonical.detector = "canonical";
-  EXPECT_EQ(scenario_cache_key(simulation, canonical), base_key);
-  sim::SimOptions masked = base;
-  masked.detector_hash_mask = 0;
-  EXPECT_EQ(scenario_cache_key(simulation, masked), base_key);
+  EXPECT_EQ(with([](Options& o) { o.detector = "canonical"; }), base);
+  EXPECT_EQ(with([](Options& o) { o.detector_hash_mask = 0; }), base);
 
-  // The per-run seed is already in the base key, not the sim marker.
-  Scenario reseeded = simulation;
-  reseeded.seed = 8;
-  EXPECT_NE(scenario_cache_key(reseeded, base), base_key);
-
-  // Non-simulation scenarios ignore the sim config entirely.
-  Scenario safety = simulation;
-  safety.kind = ScenarioKind::safety;
-  EXPECT_EQ(scenario_cache_key(safety, churn), scenario_cache_key(safety));
+  // Non-simulation requests ignore the sim config entirely.
+  api::AnalyzeSafetyRequest safety;
+  safety.spp = request.spp;
+  api::ServiceOptions batched;
+  batched.sim.mrai_ticks = 5;
+  EXPECT_EQ(identity_text(safety, batched), identity_text(safety));
 }
 
 TEST(CampaignRunner, WarmCacheNeverServesADifferentSimConfig) {

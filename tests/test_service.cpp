@@ -184,29 +184,37 @@ TEST(Json, RejectsDuplicateObjectKeys) {
 }
 
 #ifdef FSR_SERVE_BINARY
-// The stdin front end end to end: a 30k-deep line and a duplicate-key line
-// each get exactly one in-band error, and the line after them is answered.
-TEST(Serve, HostileLinesAnswerInBandAndTheStreamGoesOn) {
+/// Pipes `input` through the stdin front end; returns its exit status and
+/// the answered lines.
+std::pair<int, std::vector<std::string>> serve_stdin(const std::string& name,
+                                                     const std::string& input) {
   const std::filesystem::path dir = ::testing::TempDir();
-  const std::filesystem::path in = dir / "fsr_serve_hostile.in";
-  const std::filesystem::path out = dir / "fsr_serve_hostile.out";
-  {
-    std::ofstream stream(in, std::ios::binary);
-    stream << std::string(30000, '[') << "\n"
-           << R"({"kind": "ground-truth", "gadget": "bad", "gadget": "good"})"
-           << "\n"
-           << R"({"kind": "ground-truth", "gadget": "good"})" << "\n";
-  }
+  const std::filesystem::path in = dir / (name + ".in");
+  const std::filesystem::path out = dir / (name + ".out");
+  std::ofstream(in, std::ios::binary) << input;
   const std::string command = std::string("\"") + FSR_SERVE_BINARY +
                               "\" < \"" + in.string() + "\" > \"" +
                               out.string() + "\"";
   const int status = std::system(command.c_str());
-  ASSERT_TRUE(WIFEXITED(status)) << "fsr_serve died: " << status;
-  EXPECT_EQ(WEXITSTATUS(status), 1);  // in-band errors were answered
-
   std::ifstream stream(out, std::ios::binary);
   std::vector<std::string> lines;
   for (std::string line; std::getline(stream, line);) lines.push_back(line);
+  std::filesystem::remove(in);
+  std::filesystem::remove(out);
+  return {status, lines};
+}
+
+// The stdin front end end to end: a 30k-deep line and a duplicate-key line
+// each get exactly one in-band error, and the line after them is answered.
+TEST(Serve, HostileLinesAnswerInBandAndTheStreamGoesOn) {
+  const auto [status, lines] = serve_stdin(
+      "fsr_serve_hostile",
+      std::string(30000, '[') + "\n" +
+          R"({"kind": "ground-truth", "gadget": "bad", "gadget": "good"})" +
+          "\n" + R"({"kind": "ground-truth", "gadget": "good"})" + "\n");
+  ASSERT_TRUE(WIFEXITED(status)) << "fsr_serve died: " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 1);  // in-band errors were answered
+
   ASSERT_EQ(lines.size(), 3u);
   EXPECT_NE(lines[0].find("\"error\": \"line 1: json: nesting deeper than "
                           "64 levels at byte 64\""),
@@ -219,8 +227,39 @@ TEST(Serve, HostileLinesAnswerInBandAndTheStreamGoesOn) {
   EXPECT_NE(lines[2].find("\"ground_truth\": {\"decided\": true"),
             std::string::npos)
       << lines[2];
-  std::filesystem::remove(in);
-  std::filesystem::remove(out);
+}
+
+// Bad `random` knobs are rejected before generation: each line gets one
+// in-band error naming its field (an oversized count is not wrapped into a
+// small one), and every next line is still answered.
+TEST(Serve, BadRandomKnobsAnswerInBandAndTheStreamGoesOn) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"("min_nodes": 9, "max_nodes": 3)", "min_nodes must be <= max_nodes"},
+      {R"("max_nodes": 5000000000)", "max_nodes must be <= 256"},
+      {R"("max_nodes": 4294967301)", "max_nodes must be <= 256"},
+      {R"("paths_per_node": 65)", "paths_per_node must be <= 64"},
+      {R"("max_path_length": 257)", "max_path_length must be <= 256"},
+  };
+  std::string input;
+  for (const auto& [knobs, error] : cases) {
+    input += R"({"kind": "ground-truth", "random": {"seed": 1, )" + knobs +
+             "}}\n" + R"({"kind": "ground-truth", "random": {"seed": 1}})" +
+             "\n";
+  }
+  const auto [status, lines] = serve_stdin("fsr_serve_random", input);
+  ASSERT_TRUE(WIFEXITED(status)) << "fsr_serve died: " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+
+  ASSERT_EQ(lines.size(), 2 * cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const std::string expected = "\"error\": \"line " +
+                                 std::to_string(2 * i + 1) + ": " +
+                                 cases[i].second + "\"";
+    EXPECT_NE(lines[2 * i].find(expected), std::string::npos) << lines[2 * i];
+    EXPECT_NE(lines[2 * i + 1].find("\"ground_truth\": {\"decided\": true"),
+              std::string::npos)
+        << lines[2 * i + 1];
+  }
 }
 #endif
 

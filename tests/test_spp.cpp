@@ -1,11 +1,13 @@
 // Tests for the SPP substrate: instance validation, the gadget library's
 // ground-truth stable-state structure, the asynchronous SPVP simulator,
 // and the SPP -> algebra translation of Section III-B (including the
-// paper's eighteen-constraint Figure-3 encoding).
+// paper's eighteen-constraint Figure-3 encoding), plus the canonical form
+// and the random-instance generator.
 #include <gtest/gtest.h>
 
 #include "algebra/finite_algebra.h"
 #include "spp/gadgets.h"
+#include "spp/random.h"
 #include "spp/spp.h"
 #include "spp/translate.h"
 #include "util/error.h"
@@ -259,6 +261,61 @@ TEST(Translate, RejectsEmptyInstance) {
 TEST(Translate, GoodGadgetChainScales) {
   const auto a = algebra_from_spp(good_gadget_chain(4));
   EXPECT_EQ(a->symbolic().signatures.size(), 4u * 6u);
+}
+
+// ------------------------------------------------- canonical and random --
+
+TEST(Canonical, IgnoresNameButNotContent) {
+  SppInstance renamed = good_gadget();
+  EXPECT_EQ(canonical_spp(good_gadget()), canonical_spp(renamed));
+  EXPECT_NE(canonical_spp(good_gadget()), canonical_spp(bad_gadget()));
+}
+
+TEST(RandomSpp, DeterministicValidInstances) {
+  const RandomSppShape shape;
+  const SppInstance one = random_spp_instance("r", 123, shape);
+  const SppInstance two = random_spp_instance("r", 123, shape);
+  EXPECT_EQ(canonical_spp(one), canonical_spp(two));
+  EXPECT_NE(canonical_spp(one),
+            canonical_spp(random_spp_instance("r", 124, shape)));
+  EXPECT_GT(one.permitted_path_count(), 0u);
+  // Every generated path passed SppInstance validation (edges declared,
+  // simple, destination-terminated) or add_permitted_path would have
+  // thrown during construction.
+  for (const std::string& node : one.nodes()) {
+    EXPECT_LE(one.permitted(node).size(),
+              static_cast<std::size_t>(shape.paths_per_node));
+  }
+}
+
+TEST(RandomSpp, RejectsInvertedRangesAndOversizedShapesNamingTheField) {
+  const auto error_of = [](const RandomSppShape& shape) -> std::string {
+    try {
+      random_spp_instance("r", 1, shape);
+    } catch (const InvalidArgument& error) {
+      return error.what();
+    }
+    return "accepted";
+  };
+  RandomSppShape inverted;
+  inverted.min_nodes = 9;
+  inverted.max_nodes = 3;
+  EXPECT_EQ(error_of(inverted), "min_nodes must be <= max_nodes");
+  RandomSppShape huge;
+  huge.max_nodes = RandomSppShape::k_max_nodes + 1;
+  EXPECT_EQ(error_of(huge), "max_nodes must be <= 256");
+  RandomSppShape bushy;
+  bushy.paths_per_node = RandomSppShape::k_max_paths_per_node + 1;
+  EXPECT_EQ(error_of(bushy), "paths_per_node must be <= 64");
+  RandomSppShape long_paths;
+  long_paths.max_path_length = RandomSppShape::k_max_path_length + 1;
+  EXPECT_EQ(error_of(long_paths), "max_path_length must be <= 256");
+
+  // The ceilings themselves are accepted.
+  RandomSppShape edge;
+  edge.paths_per_node = RandomSppShape::k_max_paths_per_node;
+  edge.max_path_length = RandomSppShape::k_max_path_length;
+  EXPECT_EQ(error_of(edge), "accepted");
 }
 
 }  // namespace

@@ -12,7 +12,8 @@ Proves the transport acceptance properties of docs/WIRE.md ("Transport"):
   * the stdin contract per connection — dense ids, blank lines skipped,
     in-band errors;
   * hostile input stays in-band — a 9th client sends a 30k-deep JSON
-    line and a duplicate-key line alongside the 8: each gets exactly one
+    line, a duplicate-key line, and four `random` payloads with bad knobs
+    alongside the 8: each gets exactly one
     error response, its next line is still answered, and the other
     clients' bytes are unaffected;
   * graceful drain — SIGTERM makes the server answer everything already
@@ -48,12 +49,21 @@ STREAM = "".join(line + "\n" for line in REQUESTS).encode()
 HOSTILE = [
     "[" * 30000,  # would overflow a recursive parser's stack
     '{"kind": "ground-truth", "gadget": "bad", "gadget": "good"}',
+    # bad `random` knobs: rejected before generation, never wrapped
+    '{"kind": "ground-truth", "random": {"seed": 1, "min_nodes": 9, "max_nodes": 3}}',
+    '{"kind": "ground-truth", "random": {"seed": 1, "max_nodes": 5000000000}}',
+    '{"kind": "ground-truth", "random": {"seed": 1, "paths_per_node": 65}}',
+    '{"kind": "ground-truth", "random": {"seed": 1, "max_path_length": 257}}',
     '{"kind": "ground-truth", "gadget": "good"}',  # still answered
 ]
 HOSTILE_STREAM = "".join(line + "\n" for line in HOSTILE).encode()
 HOSTILE_ERRORS = [
     b'"error": "line 1: json: nesting deeper than 64 levels at byte 64"',
     b'"error": "line 2: json: duplicate object key \'gadget\' at byte 50"',
+    b'"error": "line 3: min_nodes must be <= max_nodes"',
+    b'"error": "line 4: max_nodes must be <= 256"',
+    b'"error": "line 5: paths_per_node must be <= 64"',
+    b'"error": "line 6: max_path_length must be <= 256"',
 ]
 
 
