@@ -6,6 +6,15 @@
 
 namespace fsr::algebra {
 
+FiniteAlgebra::FiniteAlgebra()
+    : arena_(std::make_unique<std::pmr::monotonic_buffer_resource>()),
+      signatures_(arena_.get()),
+      complements_(arena_.get()),
+      generation_(arena_.get()),
+      import_(arena_.get()),
+      export_(arena_.get()),
+      origination_(arena_.get()) {}
+
 // ------------------------------------------------------------- queries --
 
 bool FiniteAlgebra::import_allows(const Value& label, const Value& sig) const {
@@ -40,11 +49,13 @@ std::optional<Value> FiniteAlgebra::originate(const Value& label) const {
   return Value::atom(it->second);
 }
 
-void FiniteAlgebra::index_of_or_throw(const std::string& sig) const {
-  if (!sig_index_.contains(sig)) {
+std::size_t FiniteAlgebra::index_of_or_throw(const std::string& sig) const {
+  const auto it = signatures_.find(sig);
+  if (it == signatures_.end()) {
     throw InvalidArgument("algebra '" + name_ + "' has no signature '" + sig +
                           "'");
   }
+  return it->second;
 }
 
 Ordering FiniteAlgebra::compare(const Value& lhs, const Value& rhs) const {
@@ -54,17 +65,13 @@ Ordering FiniteAlgebra::compare(const Value& lhs, const Value& rhs) const {
         "' has cyclic preferences; compare() is undefined (the safety "
         "analyzer can still process the algebra symbolically)");
   }
-  const std::string& a = lhs.as_atom();
-  const std::string& b = rhs.as_atom();
-  index_of_or_throw(a);
-  index_of_or_throw(b);
-  const std::size_t i = sig_index_.at(a);
-  const std::size_t j = sig_index_.at(b);
+  const std::size_t i = index_of_or_throw(lhs.as_atom());
+  const std::size_t j = index_of_or_throw(rhs.as_atom());
   if (i == j) return Ordering::equal;
-  const bool ab_strict = reach_strict_[i][j];
-  const bool ba_strict = reach_strict_[j][i];
-  const bool ab_weak = reach_weak_[i][j];
-  const bool ba_weak = reach_weak_[j][i];
+  const bool ab_strict = reaches(reach_strict_, i, j);
+  const bool ba_strict = reaches(reach_strict_, j, i);
+  const bool ab_weak = reaches(reach_weak_, i, j);
+  const bool ba_weak = reaches(reach_weak_, j, i);
   if (ab_strict) return Ordering::better;
   if (ba_strict) return Ordering::worse;
   if (ab_weak && ba_weak) return Ordering::equal;  // mutual weak: same class
@@ -76,74 +83,89 @@ Ordering FiniteAlgebra::compare(const Value& lhs, const Value& rhs) const {
 SymbolicSpec FiniteAlgebra::symbolic() const {
   SymbolicSpec spec;
   spec.algebra_name = name_;
-  spec.signatures.assign(signatures_.begin(), signatures_.end());
+  const auto names = signatures();
+  spec.signatures.assign(names.begin(), names.end());
   spec.preferences = preferences_;
   // Combined (+) entries: phi rows are skipped (s strictly-precedes phi by
   // definition, so they impose no constraint; Section IV-C). Only defined
   // (+)_P entries can survive combined_extend, so walking the generation
   // table and applying both filters costs the table's size, not
   // |labels| x |signatures|. Its (label, sig) key order is the nested
-  // labels_ x signatures_ order, so extensions keep that order.
-  const auto allows = [](const std::map<TableKey, bool>& filter,
+  // labels x signatures order, so extensions keep that order.
+  const auto allows = [](const std::pmr::map<TableKey, bool>& filter,
                          const TableKey& key) {
     const auto it = filter.find(key);
     return it == filter.end() || it->second;
   };
+  spec.extensions.reserve(generation_.size());
   for (const auto& [key, result] : generation_) {
     if (!allows(import_, key) || !allows(export_, key)) continue;
     const auto& [label, sig] = key;
-    spec.extensions.push_back(SymbolicSpec::Extension{
-        label, sig, result, label + " (+) " + sig + " = " + result});
+    std::string provenance;
+    provenance.reserve(label.size() + sig.size() + result.size() + 8);
+    provenance.append(label).append(" (+) ").append(sig).append(" = ").append(
+        result);
+    spec.extensions.push_back(
+        SymbolicSpec::Extension{label, sig, result, std::move(provenance)});
   }
   return spec;
 }
 
 // Computes reachability over the declared preference constraints:
-// reach_weak[i][j]  = sig_i is at least as preferred as sig_j (derivable);
-// reach_strict[i][j]= derivation uses at least one strict step.
-// Equal constraints contribute edges in both directions.
+// weak(i, j)   = sig_i is at least as preferred as sig_j (derivable);
+// strict(i, j) = some derivation uses at least one strict step.
+// Equal constraints contribute edges in both directions. Warshall's
+// closure on 64-bit rows: whenever i reaches k, row i takes in row k, and
+// the merged entries are strict if the i -> k step was or if k's own
+// entry is.
 void FiniteAlgebra::compute_preference_closure() {
   std::size_t n = 0;
-  for (const std::string& sig : signatures_) sig_index_[sig] = n++;
+  for (auto& [sig, index] : signatures_) index = n++;
 
-  reach_weak_.assign(n, std::vector<bool>(n, false));
-  reach_strict_.assign(n, std::vector<bool>(n, false));
-  for (std::size_t i = 0; i < n; ++i) reach_weak_[i][i] = true;
+  words_ = (n + 63) / 64;
+  reach_weak_.assign(n * words_, 0);
+  reach_strict_.assign(n * words_, 0);
+  const auto set = [&](std::vector<std::uint64_t>& rows, std::size_t i,
+                       std::size_t j) {
+    rows[i * words_ + j / 64] |= std::uint64_t{1} << (j % 64);
+  };
+  for (std::size_t i = 0; i < n; ++i) set(reach_weak_, i, i);
 
   for (const auto& pref : preferences_) {
-    const std::size_t i = sig_index_.at(pref.lhs);
-    const std::size_t j = sig_index_.at(pref.rhs);
+    const std::size_t i = signatures_.at(pref.lhs);
+    const std::size_t j = signatures_.at(pref.rhs);
     switch (pref.rel) {
       case PrefRel::strictly_better:
-        reach_weak_[i][j] = true;
-        reach_strict_[i][j] = true;
+        set(reach_weak_, i, j);
+        set(reach_strict_, i, j);
         break;
       case PrefRel::better_or_equal:
-        reach_weak_[i][j] = true;
+        set(reach_weak_, i, j);
         break;
       case PrefRel::equal:
-        reach_weak_[i][j] = true;
-        reach_weak_[j][i] = true;
+        set(reach_weak_, i, j);
+        set(reach_weak_, j, i);
         break;
     }
   }
 
-  // Floyd-Warshall-style closure tracking strictness.
   for (std::size_t k = 0; k < n; ++k) {
+    const std::uint64_t* weak_k = &reach_weak_[k * words_];
+    const std::uint64_t* strict_k = &reach_strict_[k * words_];
     for (std::size_t i = 0; i < n; ++i) {
-      if (!reach_weak_[i][k]) continue;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (!reach_weak_[k][j]) continue;
-        reach_weak_[i][j] = true;
-        if (reach_strict_[i][k] || reach_strict_[k][j]) {
-          reach_strict_[i][j] = true;
-        }
+      if (!reaches(reach_weak_, i, k)) continue;
+      const bool strict_ik = reaches(reach_strict_, i, k);
+      std::uint64_t* weak_i = &reach_weak_[i * words_];
+      std::uint64_t* strict_i = &reach_strict_[i * words_];
+      for (std::size_t w = 0; w < words_; ++w) {
+        weak_i[w] |= weak_k[w];
+        strict_i[w] |= strict_ik ? weak_k[w] : strict_k[w];
       }
     }
   }
 
   for (std::size_t i = 0; i < n; ++i) {
-    if (reach_strict_[i][i]) {
+    if (reaches(reach_strict_, i, i)) {
       preferences_consistent_ = false;
       return;
     }
@@ -165,7 +187,7 @@ void FiniteAlgebra::Builder::require_signature(const std::string& sig) const {
 }
 
 void FiniteAlgebra::Builder::require_label(const std::string& label) const {
-  if (!algebra_.labels_.contains(label)) {
+  if (!algebra_.complements_.contains(label)) {
     throw InvalidArgument("algebra '" + algebra_.name_ +
                           "': undeclared label '" + label + "'");
   }
@@ -174,7 +196,7 @@ void FiniteAlgebra::Builder::require_label(const std::string& label) const {
 FiniteAlgebra::Builder& FiniteAlgebra::Builder::add_signature(
     const std::string& sig) {
   if (sig.empty()) throw InvalidArgument("signature name must be non-empty");
-  algebra_.signatures_.insert(sig);
+  algebra_.signatures_.emplace(sig, 0);
   return *this;
 }
 
@@ -183,8 +205,6 @@ FiniteAlgebra::Builder& FiniteAlgebra::Builder::add_label(
   if (label.empty() || reverse.empty()) {
     throw InvalidArgument("label names must be non-empty");
   }
-  algebra_.labels_.insert(label);
-  algebra_.labels_.insert(reverse);
   algebra_.complements_[label] = reverse;
   algebra_.complements_[reverse] = label;
   return *this;

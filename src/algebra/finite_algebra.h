@@ -22,9 +22,12 @@
 #ifndef FSR_ALGEBRA_FINITE_ALGEBRA_H
 #define FSR_ALGEBRA_FINITE_ALGEBRA_H
 
+#include <cstdint>
 #include <map>
+#include <memory>
+#include <memory_resource>
 #include <optional>
-#include <set>
+#include <ranges>
 #include <string>
 #include <vector>
 
@@ -47,10 +50,9 @@ class FiniteAlgebra final : public RoutingAlgebra {
   Ordering compare(const Value& lhs, const Value& rhs) const override;
   SymbolicSpec symbolic() const override;
 
-  const std::set<std::string>& signatures() const noexcept {
-    return signatures_;
-  }
-  const std::set<std::string>& labels() const noexcept { return labels_; }
+  /// The declared signatures and labels, each in sorted order.
+  auto signatures() const noexcept { return std::views::keys(signatures_); }
+  auto labels() const noexcept { return std::views::keys(complements_); }
 
   /// True when the declared preferences are free of strict cycles, i.e.
   /// compare() is usable. An algebra with cyclic preferences can still be
@@ -62,28 +64,40 @@ class FiniteAlgebra final : public RoutingAlgebra {
 
  private:
   friend class Builder;
-  FiniteAlgebra() = default;
+  FiniteAlgebra();
 
   using TableKey = std::pair<std::string, std::string>;  // (label, sig)
 
-  void index_of_or_throw(const std::string& sig) const;
+  std::size_t index_of_or_throw(const std::string& sig) const;
   void compute_preference_closure();
 
   std::string name_;
-  std::set<std::string> signatures_;
-  std::set<std::string> labels_;
-  std::map<std::string, std::string> complements_;
-  std::map<TableKey, std::string> generation_;       // (+)_P, absent = phi
-  std::map<TableKey, bool> import_;                  // absent = allow
-  std::map<TableKey, bool> export_;                  // absent = allow
-  std::map<std::string, std::string> origination_;   // label -> signature
+  // The tables below are filled once by the Builder and never shrink, so
+  // their nodes come from one arena, released in one piece with the
+  // algebra (declared first: it outlives them).
+  std::unique_ptr<std::pmr::monotonic_buffer_resource> arena_;
+  // Signature -> its position in sorted order (the closure's row index,
+  // assigned by build()).
+  std::pmr::map<std::string, std::size_t> signatures_;
+  std::pmr::map<std::string, std::string> complements_;  // every label has one
+  std::pmr::map<TableKey, std::string> generation_;  // (+)_P, absent = phi
+  std::pmr::map<TableKey, bool> import_;             // absent = allow
+  std::pmr::map<TableKey, bool> export_;             // absent = allow
+  std::pmr::map<std::string, std::string> origination_;  // label -> signature
   std::vector<SymbolicSpec::Preference> preferences_;
 
-  // Preference closure: for each ordered signature pair, whether lhs is
-  // reachable from rhs ("weak") and whether some step is strict.
-  std::map<std::string, std::size_t> sig_index_;
-  std::vector<std::vector<bool>> reach_weak_;
-  std::vector<std::vector<bool>> reach_strict_;
+  // Preference closure: for each ordered signature pair (i, j), whether
+  // sig_i is derivably at least as preferred as sig_j ("weak") and whether
+  // some derivation step is strict. Row i is `words_` 64-bit words from
+  // i * words_; bit j of it is the pair's entry.
+  bool reaches(const std::vector<std::uint64_t>& rows, std::size_t i,
+               std::size_t j) const noexcept {
+    return (rows[i * words_ + j / 64] >> (j % 64)) & 1u;
+  }
+
+  std::size_t words_ = 0;
+  std::vector<std::uint64_t> reach_weak_;
+  std::vector<std::uint64_t> reach_strict_;
   bool preferences_consistent_ = true;
 };
 

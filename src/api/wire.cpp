@@ -51,11 +51,13 @@ spp::SppInstance inline_spp(const json::Value& value) {
   const json::Value* paths = value.find("paths");
   if (paths == nullptr) throw InvalidArgument("spp payload needs paths");
   for (const json::Value& path : paths->as_array("spp.paths")) {
+    const auto& hop_values = path.as_array("spp path");
     spp::Path hops;
-    for (const json::Value& hop : path.as_array("spp path")) {
+    hops.reserve(hop_values.size());
+    for (const json::Value& hop : hop_values) {
       hops.push_back(hop.as_string("spp path hop"));
     }
-    instance.add_permitted_path(hops);
+    instance.add_permitted_path(std::move(hops));
   }
   return instance;
 }

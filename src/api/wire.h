@@ -17,7 +17,7 @@
 //     "gadget": NAME          library gadget (spp::gadget_by_name: good,
 //                             bad, disagree, ibgp-figure3,
 //                             ibgp-figure3-fixed, good-chain-N,
-//                             bad-chain-N)
+//                             bad-chain-N with 1 <= N <= 256)
 //     "policy": NAME          standard policy algebra (analyze-safety
 //                             only): guideline-a, guideline-b, backup,
 //                             bandwidth, widest-shortest,

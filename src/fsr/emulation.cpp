@@ -1,7 +1,11 @@
 #include "fsr/emulation.h"
 
+#include <optional>
+#include <utility>
+
 #include "fsr/ndlog_generator.h"
 #include "fsr/value_bridge.h"
+#include "obs/trace.h"
 #include "proto/gpv.h"
 #include "proto/hlp.h"
 #include "spp/translate.h"
@@ -48,6 +52,9 @@ void schedule_churn(
 EmulationResult emulate_gpv(const algebra::RoutingAlgebra& algebra,
                             const topology::Topology& topology,
                             const EmulationOptions& options) {
+  // emulate.setup spans everything up to the run: program, runtime, nodes,
+  // links, facts and churn.
+  std::optional<obs::Span> setup_span(std::in_place, "emulate.setup");
   // Mechanism + policy: the GPV template with the algebra's functions.
   const ndlog::Program program = proto::gpv_program();
   ndlog::FunctionRegistry registry = ndlog::FunctionRegistry::with_builtins();
@@ -96,8 +103,12 @@ EmulationResult emulate_gpv(const algebra::RoutingAlgebra& algebra,
     if (link.u == topology.destination) originate(link.v, link.label_vu);
   }
   schedule_churn(runtime, options, originations);
+  setup_span.reset();
 
-  const ndlog::RunResult run = runtime.run(options.max_time);
+  const ndlog::RunResult run = [&] {
+    const obs::Span run_span("emulate.run");
+    return runtime.run(options.max_time);
+  }();
 
   EmulationResult result;
   result.quiesced = run.quiesced;
@@ -149,7 +160,10 @@ topology::Topology spp_topology(const spp::SppInstance& instance,
 EmulationResult emulate_spp(const spp::SppInstance& instance,
                             const EmulationOptions& options,
                             net::LinkConfig link_config) {
-  const algebra::AlgebraPtr algebra = spp::algebra_from_spp(instance);
+  const algebra::AlgebraPtr algebra = [&] {
+    const obs::Span translate_span("safety.translate");
+    return spp::algebra_from_spp(instance);
+  }();
   return emulate_gpv(*algebra, spp_topology(instance, link_config), options);
 }
 

@@ -1,6 +1,7 @@
 #include "spp/gadgets.h"
 
-#include <cstdlib>
+#include <algorithm>
+#include <string_view>
 #include <utility>
 
 #include "util/error.h"
@@ -187,14 +188,30 @@ SppInstance gadget_by_name(const std::string& name) {
   if (name == "ibgp-figure3") return ibgp_figure3_gadget();
   if (name == "ibgp-figure3-fixed") return ibgp_figure3_fixed();
   using ChainBuilder = SppInstance (*)(std::int32_t);
-  constexpr std::pair<const char*, ChainBuilder> chains[] = {
+  constexpr std::pair<std::string_view, ChainBuilder> chains[] = {
       {"good-chain-", good_gadget_chain}, {"bad-chain-", bad_gadget_chain}};
   for (const auto& [prefix, build] : chains) {
-    const std::string prefix_text(prefix);
-    if (name.rfind(prefix_text, 0) == 0) {
-      const int count = std::atoi(name.c_str() + prefix_text.size());
-      if (count >= 1) return build(count);
+    if (!name.starts_with(prefix)) continue;
+    const std::string_view digits =
+        std::string_view(name).substr(prefix.size());
+    const auto is_digit = [](char c) { return c >= '0' && c <= '9'; };
+    if (digits.empty() || !std::all_of(digits.begin(), digits.end(), is_digit)) {
+      break;
     }
+    // Saturating read: a count far past the ceiling stays past it rather
+    // than wrapping back into range.
+    std::int64_t count = 0;
+    for (const char c : digits) {
+      count = std::min<std::int64_t>(count * 10 + (c - '0'),
+                                     k_max_chain_gadgets + 1);
+    }
+    if (count < 1) break;
+    if (count > k_max_chain_gadgets) {
+      throw InvalidArgument("gadget '" + name +
+                            "' is too large: a chain has at most " +
+                            std::to_string(k_max_chain_gadgets) + " gadgets");
+    }
+    return build(static_cast<std::int32_t>(count));
   }
   throw InvalidArgument("unknown gadget '" + name + "' (try --list-gadgets)");
 }

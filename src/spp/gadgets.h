@@ -59,14 +59,21 @@ SppInstance good_gadget_chain(std::int32_t count);
 /// incremental re-checks are benchmarked on.
 SppInstance bad_gadget_chain(std::int32_t count);
 
+/// The largest N gadget_by_name builds for a "*-chain-N" name. Names are
+/// wire input: bad-chain-256 answers every request kind in well under a
+/// second, bad-chain-4096 takes seconds to build and check. The
+/// *_gadget_chain builders themselves take any count.
+inline constexpr std::int32_t k_max_chain_gadgets = 256;
+
 /// The names gadget_by_name accepts (display order). The two chain
 /// families appear by their documented spelling ("good-chain-N",
-/// "bad-chain-N"); any positive N is valid.
+/// "bad-chain-N"); N is a decimal count from 1 to k_max_chain_gadgets.
 const std::vector<std::string>& gadget_names();
 
 /// Builds a library gadget from its CLI/wire name: good, bad, disagree,
 /// ibgp-figure3, ibgp-figure3-fixed, good-chain-N, bad-chain-N. Throws
-/// fsr::InvalidArgument for anything else — the one lookup shared by
+/// fsr::InvalidArgument for anything else, and for a chain longer than
+/// k_max_chain_gadgets before building it — the one lookup shared by
 /// fsr_repair, fsr_serve, and the scenario sources.
 SppInstance gadget_by_name(const std::string& name);
 

@@ -130,7 +130,7 @@ SppInstance random_spp_instance(std::string name, std::uint64_t seed,
     const auto keep = std::min<std::size_t>(
         candidates.size(), static_cast<std::size_t>(shape.paths_per_node));
     for (std::size_t i = 0; i < keep; ++i) {
-      instance.add_permitted_path(candidates[i]);
+      instance.add_permitted_path(std::move(candidates[i]));
     }
   }
   return instance;

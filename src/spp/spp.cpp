@@ -9,6 +9,29 @@ namespace fsr::spp {
 
 const std::vector<Path> SppInstance::k_no_paths{};
 
+namespace {
+
+constexpr std::size_t k_first_capacity = 4;
+
+/// True when no node repeats on `path`. Short paths (the common case)
+/// compare pairwise; longer ones sort views of their names.
+bool is_simple(const Path& path) {
+  constexpr std::size_t k_pairwise_limit = 16;
+  if (path.size() <= k_pairwise_limit) {
+    for (std::size_t i = 0; i < path.size(); ++i) {
+      for (std::size_t j = i + 1; j < path.size(); ++j) {
+        if (path[i] == path[j]) return false;
+      }
+    }
+    return true;
+  }
+  std::vector<std::string_view> sorted(path.begin(), path.end());
+  std::sort(sorted.begin(), sorted.end());
+  return std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
+}
+
+}  // namespace
+
 std::string path_name(const Path& path) {
   return util::join(path, "-");
 }
@@ -30,25 +53,44 @@ SppInstance::SppInstance(std::string name, std::string destination)
   if (name_.empty() || destination_.empty()) {
     throw InvalidArgument("SPP instance and destination names are required");
   }
-  node_set_.insert(destination_);
+}
+
+std::size_t SppInstance::index_of(std::string_view node) const noexcept {
+  const auto it = std::lower_bound(nodes_.begin(), nodes_.end(), node);
+  return it != nodes_.end() && *it == node
+             ? static_cast<std::size_t>(it - nodes_.begin())
+             : nodes_.size();
+}
+
+void SppInstance::add_node(const std::string& node) {
+  if (node == destination_) return;
+  const auto it = std::lower_bound(nodes_.begin(), nodes_.end(), node);
+  if (it != nodes_.end() && *it == node) return;
+  permitted_.emplace(permitted_.begin() + (it - nodes_.begin()));
+  nodes_.insert(it, node);
+}
+
+std::size_t SppInstance::EdgeHash::operator()(
+    const EdgeKey& edge) const noexcept {
+  const std::hash<std::string_view> hash;
+  return util::splitmix64(hash(edge.first)) ^ hash(edge.second);
 }
 
 void SppInstance::add_edge(const std::string& u, const std::string& v) {
   if (u == v) throw InvalidArgument("self-loop edge at '" + u + "'");
-  node_set_.insert(u);
-  node_set_.insert(v);
-  const auto normalised = u < v ? std::make_pair(u, v) : std::make_pair(v, u);
-  if (edge_set_.insert(normalised).second) {
-    edges_.push_back(normalised);
-  }
+  add_node(u);
+  add_node(v);
+  const EdgeKey key = u < v ? EdgeKey{u, v} : EdgeKey{v, u};
+  if (edge_set_.contains(key)) return;
+  edges_.emplace_back(key.first, key.second);
+  edge_set_.insert(edges_.back());
 }
 
 bool SppInstance::has_edge(const std::string& u, const std::string& v) const {
-  const auto key = u < v ? std::make_pair(u, v) : std::make_pair(v, u);
-  return edge_set_.contains(key);
+  return edge_set_.contains(u < v ? EdgeKey{u, v} : EdgeKey{v, u});
 }
 
-void SppInstance::add_permitted_path(const Path& path) {
+void SppInstance::add_permitted_path(Path path) {
   if (path.size() < 2) {
     throw InvalidArgument("permitted path must have at least two nodes");
   }
@@ -59,12 +101,9 @@ void SppInstance::add_permitted_path(const Path& path) {
   if (path.front() == destination_) {
     throw InvalidArgument("permitted path may not start at the destination");
   }
-  std::set<std::string> seen;
-  for (const std::string& node : path) {
-    if (!seen.insert(node).second) {
-      throw InvalidArgument("permitted path " + path_name(path) +
-                            " is not simple");
-    }
+  if (!is_simple(path)) {
+    throw InvalidArgument("permitted path " + path_name(path) +
+                          " is not simple");
   }
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
     if (!has_edge(path[i], path[i + 1])) {
@@ -73,20 +112,17 @@ void SppInstance::add_permitted_path(const Path& path) {
                             path[i + 1]);
     }
   }
-  permitted_[path.front()].push_back(path);
-}
-
-std::vector<std::string> SppInstance::nodes() const {
-  std::vector<std::string> out;
-  for (const std::string& node : node_set_) {
-    if (node != destination_) out.push_back(node);
-  }
-  return out;
+  // The first hop is a declared edge, so its source is a node. Nodes rank
+  // a handful of paths, so the first one reserves room for a few.
+  std::vector<Path>& ranked = permitted_[index_of(path.front())];
+  if (ranked.empty()) ranked.reserve(k_first_capacity);
+  ranked.push_back(std::move(path));
+  ++path_count_;
 }
 
 const std::vector<Path>& SppInstance::permitted(const std::string& node) const {
-  const auto it = permitted_.find(node);
-  return it == permitted_.end() ? k_no_paths : it->second;
+  const std::size_t at = index_of(node);
+  return at == nodes_.size() ? k_no_paths : permitted_[at];
 }
 
 std::optional<std::size_t> SppInstance::rank_of(const Path& path) const {
@@ -96,15 +132,6 @@ std::optional<std::size_t> SppInstance::rank_of(const Path& path) const {
     if (ranked[i] == path) return i;
   }
   return std::nullopt;
-}
-
-std::size_t SppInstance::permitted_path_count() const noexcept {
-  std::size_t n = 0;
-  for (const auto& [node, paths] : permitted_) {
-    (void)node;
-    n += paths.size();
-  }
-  return n;
 }
 
 std::optional<Path> best_consistent_choice(const SppInstance& instance,
@@ -260,17 +287,27 @@ SpvpResult simulate_spvp(const SppInstance& instance, util::Rng& rng,
 }
 
 std::string canonical_spp(const SppInstance& instance) {
-  std::string out = "dest=" + instance.destination() + ";edges=";
+  std::string out = "dest=";
+  out += instance.destination();
+  out += ";edges=";
   for (const auto& [u, v] : instance.edges()) {
-    out += u + "~" + v + ",";
+    out += u;
+    out += '~';
+    out += v;
+    out += ',';
   }
   out += ";paths=";
   for (const std::string& node : instance.nodes()) {
-    out += node + ":";
+    out += node;
+    out += ':';
     for (const Path& path : instance.permitted(node)) {
-      out += path_name(path) + ",";
+      for (std::size_t i = 0; i < path.size(); ++i) {
+        if (i > 0) out += '-';
+        out += path[i];
+      }
+      out += ',';
     }
-    out += ";";
+    out += ';';
   }
   return out;
 }

@@ -23,8 +23,10 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
+#include <string_view>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -53,11 +55,12 @@ class SppInstance {
   /// Appends `path` to the permitted list of its source node (ranked:
   /// earlier calls are more preferred). Validates that the path starts at
   /// a non-destination node, ends at the destination, is simple, and uses
-  /// declared edges. Throws fsr::InvalidArgument otherwise.
-  void add_permitted_path(const Path& path);
+  /// declared edges. Throws fsr::InvalidArgument otherwise. Pass an
+  /// rvalue to move the path in.
+  void add_permitted_path(Path path);
 
   /// All non-destination nodes, in deterministic (sorted) order.
-  std::vector<std::string> nodes() const;
+  const std::vector<std::string>& nodes() const noexcept { return nodes_; }
 
   bool has_edge(const std::string& u, const std::string& v) const;
   const std::vector<std::pair<std::string, std::string>>& edges()
@@ -72,15 +75,36 @@ class SppInstance {
   /// path is not permitted there.
   std::optional<std::size_t> rank_of(const Path& path) const;
 
-  std::size_t permitted_path_count() const noexcept;
+  std::size_t permitted_path_count() const noexcept { return path_count_; }
 
  private:
+  using Edge = std::pair<std::string, std::string>;
+  using EdgeKey = std::pair<std::string_view, std::string_view>;
+
+  /// Hash and compare edges as string_view pairs (an Edge converts), so
+  /// a membership test copies no names.
+  struct EdgeHash {
+    using is_transparent = void;
+    std::size_t operator()(const EdgeKey& edge) const noexcept;
+  };
+  struct EdgeEqual {
+    using is_transparent = void;
+    bool operator()(const EdgeKey& a, const EdgeKey& b) const noexcept {
+      return a == b;
+    }
+  };
+
+  /// Position of `node` in nodes_ (nodes_.size() when absent).
+  std::size_t index_of(std::string_view node) const noexcept;
+  void add_node(const std::string& node);
+
   std::string name_;
   std::string destination_;
-  std::set<std::string> node_set_;
-  std::set<std::pair<std::string, std::string>> edge_set_;  // normalised
-  std::vector<std::pair<std::string, std::string>> edges_;
-  std::map<std::string, std::vector<Path>> permitted_;
+  std::vector<std::string> nodes_;          // sorted, destination excluded
+  std::vector<std::vector<Path>> permitted_;  // parallel to nodes_
+  std::size_t path_count_ = 0;
+  std::unordered_set<Edge, EdgeHash, EdgeEqual> edge_set_;  // normalised
+  std::vector<Edge> edges_;  // edge_set_'s members in insertion order
   static const std::vector<Path> k_no_paths;
 };
 

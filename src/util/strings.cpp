@@ -6,7 +6,10 @@
 namespace fsr::util {
 
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {
+  std::size_t size = parts.empty() ? 0 : sep.size() * (parts.size() - 1);
+  for (const std::string& part : parts) size += part.size();
   std::string out;
+  out.reserve(size);
   for (std::size_t i = 0; i < parts.size(); ++i) {
     if (i != 0) out.append(sep);
     out.append(parts[i]);

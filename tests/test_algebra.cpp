@@ -3,6 +3,8 @@
 // Gao-Rexford tables), additive algebras, and lexical products.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -380,6 +382,203 @@ TEST(SymbolicSpec, RandomTranslationsMatchTheLabelBySignatureWalk) {
     EXPECT_EQ(expect_oracle_extensions(*spp::algebra_from_spp(instance)), 1)
         << instance.name();
   }
+}
+
+
+// ------------------------------------------------ preference closure --
+
+// Reference oracle: the original closure, a Floyd-Warshall triple loop
+// over vector<vector<bool>>, and the original compare() rules on top.
+struct ReferenceClosure {
+  std::vector<std::string> signatures;
+  std::vector<std::vector<bool>> weak;
+  std::vector<std::vector<bool>> strict;
+  bool consistent = true;
+};
+
+ReferenceClosure reference_closure(const SymbolicSpec& spec) {
+  ReferenceClosure out;
+  out.signatures = spec.signatures;
+  const std::size_t n = out.signatures.size();
+  std::map<std::string, std::size_t> index;
+  for (std::size_t i = 0; i < n; ++i) index[out.signatures[i]] = i;
+  out.weak.assign(n, std::vector<bool>(n, false));
+  out.strict.assign(n, std::vector<bool>(n, false));
+  for (std::size_t i = 0; i < n; ++i) out.weak[i][i] = true;
+  for (const auto& pref : spec.preferences) {
+    const std::size_t i = index.at(pref.lhs);
+    const std::size_t j = index.at(pref.rhs);
+    switch (pref.rel) {
+      case PrefRel::strictly_better:
+        out.weak[i][j] = true;
+        out.strict[i][j] = true;
+        break;
+      case PrefRel::better_or_equal:
+        out.weak[i][j] = true;
+        break;
+      case PrefRel::equal:
+        out.weak[i][j] = true;
+        out.weak[j][i] = true;
+        break;
+    }
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!out.weak[i][k]) continue;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (!out.weak[k][j]) continue;
+        out.weak[i][j] = true;
+        if (out.strict[i][k] || out.strict[k][j]) out.strict[i][j] = true;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (out.strict[i][i]) out.consistent = false;
+  }
+  return out;
+}
+
+Ordering reference_compare(const ReferenceClosure& closure, std::size_t i,
+                           std::size_t j) {
+  if (i == j) return Ordering::equal;
+  if (closure.strict[i][j]) return Ordering::better;
+  if (closure.strict[j][i]) return Ordering::worse;
+  if (closure.weak[i][j] && closure.weak[j][i]) return Ordering::equal;
+  if (closure.weak[i][j]) return Ordering::better;
+  if (closure.weak[j][i]) return Ordering::worse;
+  return Ordering::incomparable;
+}
+
+/// Checks every FiniteAlgebra factor of `algebra` against the reference
+/// closure: the same consistency verdict and, when consistent, the same
+/// compare() answer for every ordered signature pair. Returns how many
+/// factors were compared.
+int expect_reference_closure(const RoutingAlgebra& algebra) {
+  std::vector<const RoutingAlgebra*> factors = algebra.lexical_factors();
+  if (factors.empty()) factors.push_back(&algebra);
+  int compared = 0;
+  for (const RoutingAlgebra* factor : factors) {
+    const auto* finite = dynamic_cast<const FiniteAlgebra*>(factor);
+    if (finite == nullptr) continue;
+    ++compared;
+    const ReferenceClosure closure = reference_closure(finite->symbolic());
+    EXPECT_EQ(finite->has_consistent_preferences(), closure.consistent)
+        << finite->name();
+    if (!closure.consistent) continue;
+    const std::size_t n = closure.signatures.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        const Ordering got = finite->compare(A(closure.signatures[i].c_str()),
+                                             A(closure.signatures[j].c_str()));
+        if (got != reference_compare(closure, i, j)) {
+          ADD_FAILURE() << finite->name() << ": " << closure.signatures[i]
+                        << " vs " << closure.signatures[j];
+          return compared;
+        }
+      }
+    }
+  }
+  return compared;
+}
+
+TEST(PreferenceClosure, StandardPoliciesMatchTheTripleLoop) {
+  for (const AlgebraPtr& policy :
+       {gao_rexford_guideline_a(), gao_rexford_guideline_b(),
+        backup_routing(), bandwidth_classes({10, 100, 1000}),
+        widest_shortest({10, 100, 1000}), gao_rexford_with_hop_count()}) {
+    EXPECT_EQ(expect_reference_closure(*policy), 1) << policy->name();
+  }
+}
+
+TEST(PreferenceClosure, GadgetTranslationsMatchTheTripleLoop) {
+  std::vector<spp::SppInstance> gadgets = {
+      spp::good_gadget(), spp::bad_gadget(), spp::disagree_gadget(),
+      spp::ibgp_figure3_gadget(), spp::ibgp_figure3_fixed()};
+  // 24 gadgets take the closure past one 64-bit row word.
+  for (const int length : {1, 2, 4, 8, 16, 24}) {
+    gadgets.push_back(spp::good_gadget_chain(length));
+    gadgets.push_back(spp::bad_gadget_chain(length));
+  }
+  for (const spp::SppInstance& gadget : gadgets) {
+    EXPECT_EQ(expect_reference_closure(*spp::algebra_from_spp(gadget)), 1)
+        << gadget.name();
+  }
+}
+
+TEST(PreferenceClosure, RandomTranslationsMatchTheTripleLoop) {
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    spp::RandomSppShape sweep;
+    sweep.min_nodes = sweep.max_nodes = 3 + static_cast<int>(seed % 30);
+    const spp::SppInstance instance = spp::random_spp_instance(
+        "random-" + std::to_string(seed), seed, sweep);
+    EXPECT_EQ(expect_reference_closure(*spp::algebra_from_spp(instance)), 1)
+        << instance.name();
+  }
+}
+
+/// A FiniteAlgebra over signatures s0..s{n-1} with the given preferences
+/// (lhs index, relation, rhs index).
+AlgebraPtr preference_algebra(
+    std::size_t n,
+    const std::vector<std::tuple<std::size_t, PrefRel, std::size_t>>& prefs) {
+  FiniteAlgebra::Builder builder("prefs");
+  const auto sig = [](std::size_t i) { return "s" + std::to_string(i); };
+  for (std::size_t i = 0; i < n; ++i) builder.add_signature(sig(i));
+  for (const auto& [lhs, rel, rhs] : prefs) {
+    builder.prefer(sig(lhs), rel, sig(rhs));
+  }
+  return builder.build();
+}
+
+TEST(PreferenceClosure, HandBuiltCyclesMatchTheTripleLoop) {
+  using P = PrefRel;
+  const std::vector<
+      std::vector<std::tuple<std::size_t, PrefRel, std::size_t>>>
+      cases = {
+          // A strict cycle: inconsistent.
+          {{0, P::strictly_better, 1},
+           {1, P::strictly_better, 2},
+           {2, P::strictly_better, 0}},
+          // A weak cycle closed by one strict step: inconsistent.
+          {{0, P::better_or_equal, 1},
+           {1, P::better_or_equal, 2},
+           {2, P::strictly_better, 0}},
+          // A weak-only cycle: one equivalence class, consistent.
+          {{0, P::better_or_equal, 1},
+           {1, P::better_or_equal, 2},
+           {2, P::better_or_equal, 0},
+           {3, P::strictly_better, 0}},
+          // Equal constraints chained into a cycle, with strict edges
+          // leaving it: consistent.
+          {{0, P::equal, 1},
+           {1, P::equal, 2},
+           {2, P::equal, 0},
+           {2, P::strictly_better, 3},
+           {3, P::better_or_equal, 4}},
+          // An equal edge inside a strict path back to itself:
+          // inconsistent.
+          {{0, P::equal, 1}, {1, P::strictly_better, 0}},
+          // A strict self-preference: inconsistent.
+          {{2, P::strictly_better, 2}},
+          // Disconnected strict chains: incomparable across them.
+          {{0, P::strictly_better, 1}, {2, P::strictly_better, 3}},
+      };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    EXPECT_EQ(expect_reference_closure(*preference_algebra(5, cases[c])), 1);
+  }
+  // Past one 64-bit word: a 130-signature strict chain, then the same
+  // chain closed into a cycle through an equal edge.
+  std::vector<std::tuple<std::size_t, PrefRel, std::size_t>> chain;
+  for (std::size_t i = 0; i + 1 < 130; ++i) {
+    chain.emplace_back(i, P::strictly_better, i + 1);
+  }
+  EXPECT_EQ(expect_reference_closure(*preference_algebra(130, chain)), 1);
+  chain.emplace_back(129, P::equal, 0);
+  const AlgebraPtr cyclic = preference_algebra(130, chain);
+  EXPECT_EQ(expect_reference_closure(*cyclic), 1);
+  EXPECT_FALSE(
+      dynamic_cast<const FiniteAlgebra&>(*cyclic).has_consistent_preferences());
 }
 
 }  // namespace

@@ -183,6 +183,74 @@ TEST(Json, RejectsDuplicateObjectKeys) {
   EXPECT_NO_THROW(json::parse(R"({"a": {"a": 1}, "b": [{"a": 2}, {"a": 3}]})"));
 }
 
+TEST(Json, ValidatesUtf8InStrings) {
+  // Well-formed sequences of every length pass through unchanged.
+  for (const std::string text :
+       {"caf\xc3\xa9", "\xe2\x82\xac", "\xf0\x9d\x84\x9e",
+        "\xed\x9f\xbf", "\xee\x80\x80", "\xf4\x8f\xbf\xbf"}) {
+    EXPECT_EQ(json::parse("\"" + text + "\"").as_string("s"), text);
+  }
+  const auto error_of = [](const std::string& line) -> std::string {
+    try {
+      json::parse(line);
+    } catch (const InvalidArgument& error) {
+      return error.what();
+    }
+    return "accepted";
+  };
+  // Stray, overlong, surrogate, out-of-range and truncated sequences are
+  // rejected at the sequence's first byte.
+  for (const std::string bad :
+       {"\xff", "\x80", "\xc0\xaf", "\xc1\xbf", "\xe0\x80\xaf",
+        "\xed\xa0\x80", "\xf0\x80\x80\xaf", "\xf4\x90\x80\x80",
+        "\xf5\x80\x80\x80", "\xc3(", "\xe2\x82", "\xc3"}) {
+    EXPECT_EQ(error_of("\"ab" + bad + "\""),
+              "json: invalid UTF-8 in string at byte 3")
+        << bad;
+  }
+}
+
+TEST(Json, RejectsSurrogateEscapes) {
+  const auto error_of = [](const std::string& line) -> std::string {
+    try {
+      json::parse(line);
+    } catch (const InvalidArgument& error) {
+      return error.what();
+    }
+    return "accepted";
+  };
+  for (const char* escape : {"\\ud800", "\\udbff", "\\udc00", "\\uDFFF"}) {
+    EXPECT_EQ(error_of(std::string("\"") + escape + "\""),
+              "json: \\u escape names a UTF-16 surrogate at byte 7")
+        << escape;
+  }
+  // Either side of the surrogate range still encodes as UTF-8.
+  EXPECT_EQ(json::parse(R"("\ud7ff\ue000")").as_string("s"),
+            "\xed\x9f\xbf\xee\x80\x80");
+}
+
+TEST(Json, MessagesShowOddBytesAsHexCodes) {
+  const auto error_of = [](const std::string& line) -> std::string {
+    try {
+      json::parse(line);
+    } catch (const InvalidArgument& error) {
+      return error.what();
+    }
+    return "accepted";
+  };
+  // Printable ASCII is quoted as it always was...
+  EXPECT_EQ(error_of("x"), "json: unexpected character 'x' at byte 0");
+  EXPECT_EQ(error_of(R"({"a" 1})"), "json: expected ':', found '1' at byte 5");
+  // ...while control and non-ASCII bytes appear only as hex codes, so the
+  // message is always valid UTF-8.
+  EXPECT_EQ(error_of("\xff{}"), "json: unexpected character 0xff at byte 0");
+  EXPECT_EQ(error_of("\x01"), "json: unexpected character 0x01 at byte 0");
+  EXPECT_EQ(error_of("{\"a\" \x7f}"),
+            "json: expected ':', found 0x7f at byte 5");
+  EXPECT_EQ(error_of("{\"a\"\xc3\xa9}"),
+            "json: expected ':', found 0xc3 at byte 4");
+}
+
 #ifdef FSR_SERVE_BINARY
 /// Pipes `input` through the stdin front end; returns its exit status and
 /// the answered lines.
@@ -204,29 +272,48 @@ std::pair<int, std::vector<std::string>> serve_stdin(const std::string& name,
   return {status, lines};
 }
 
-// The stdin front end end to end: a 30k-deep line and a duplicate-key line
-// each get exactly one in-band error, and the line after them is answered.
+// The stdin front end end to end: a 30k-deep line, a duplicate-key line, a
+// chain gadget past the cap, invalid UTF-8 inside and outside a string and
+// a surrogate escape each get exactly one in-band error, every answer is
+// plain ASCII (so valid JSON whatever the line held), and the line after
+// them is answered.
 TEST(Serve, HostileLinesAnswerInBandAndTheStreamGoesOn) {
-  const auto [status, lines] = serve_stdin(
-      "fsr_serve_hostile",
-      std::string(30000, '[') + "\n" +
-          R"({"kind": "ground-truth", "gadget": "bad", "gadget": "good"})" +
-          "\n" + R"({"kind": "ground-truth", "gadget": "good"})" + "\n");
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {std::string(30000, '['),
+       "json: nesting deeper than 64 levels at byte 64"},
+      {R"({"kind": "ground-truth", "gadget": "bad", "gadget": "good"})",
+       "json: duplicate object key 'gadget' at byte 50"},
+      {R"({"kind": "analyze-safety", "gadget": "bad-chain-65536"})",
+       "gadget 'bad-chain-65536' is too large: a chain has at most 256 "
+       "gadgets"},
+      {"{\"kind\": \"ground-truth\", \"gadget\": \"bad\xff\xfe\"}",
+       "json: invalid UTF-8 in string at byte 39"},
+      {"\xff{\"kind\": \"ground-truth\", \"gadget\": \"good\"}",
+       "json: unexpected character 0xff at byte 0"},
+      {R"({"kind": "ground-truth", "gadget": "\ud800"})",
+       "json: \\\\u escape names a UTF-16 surrogate at byte 42"},
+  };
+  std::string input;
+  for (const auto& [line, error] : cases) input += line + "\n";
+  input += R"({"kind": "ground-truth", "gadget": "good"})" "\n";
+  const auto [status, lines] = serve_stdin("fsr_serve_hostile", input);
   ASSERT_TRUE(WIFEXITED(status)) << "fsr_serve died: " << status;
   EXPECT_EQ(WEXITSTATUS(status), 1);  // in-band errors were answered
 
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_NE(lines[0].find("\"error\": \"line 1: json: nesting deeper than "
-                          "64 levels at byte 64\""),
+  ASSERT_EQ(lines.size(), cases.size() + 1);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const std::string expected = "\"error\": \"line " + std::to_string(i + 1) +
+                                 ": " + cases[i].second + "\"";
+    EXPECT_NE(lines[i].find(expected), std::string::npos) << lines[i];
+  }
+  for (const std::string& line : lines) {
+    for (const char c : line) {
+      ASSERT_TRUE(c >= 0x20 && c < 0x7f) << line;
+    }
+  }
+  EXPECT_NE(lines.back().find("\"ground_truth\": {\"decided\": true"),
             std::string::npos)
-      << lines[0];
-  EXPECT_NE(lines[1].find("\"error\": \"line 2: json: duplicate object key "
-                          "'gadget' at byte 50\""),
-            std::string::npos)
-      << lines[1];
-  EXPECT_NE(lines[2].find("\"ground_truth\": {\"decided\": true"),
-            std::string::npos)
-      << lines[2];
+      << lines.back();
 }
 
 // Bad `random` knobs are rejected before generation: each line gets one

@@ -5,6 +5,10 @@
 // and the random-instance generator.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "algebra/finite_algebra.h"
 #include "spp/gadgets.h"
 #include "spp/random.h"
@@ -29,6 +33,55 @@ TEST(SppInstance, ValidatesPaths) {
   EXPECT_THROW(instance.add_permitted_path({"1", "1", "0"}), InvalidArgument);
   instance.add_permitted_path({"1", "0"});
   EXPECT_EQ(instance.permitted("1").size(), 1u);
+}
+
+TEST(SppInstance, ErrorTextsAreStable) {
+  // Each step runs on a fresh instance with edges 0-1, 1-2 and the chain
+  // a1-...-a20-0; the literals are the messages the checks have always
+  // produced.
+  const auto error_of =
+      [](const std::function<void(SppInstance&)>& step) -> std::string {
+    SppInstance instance("t");
+    instance.add_edge("1", "0");
+    instance.add_edge("1", "2");
+    for (int i = 1; i < 20; ++i) {
+      instance.add_edge("a" + std::to_string(i), "a" + std::to_string(i + 1));
+    }
+    instance.add_edge("a20", "0");
+    try {
+      step(instance);
+    } catch (const InvalidArgument& error) {
+      return error.what();
+    }
+    return "accepted";
+  };
+  const auto path_step = [](Path path) {
+    return [path](SppInstance& instance) { instance.add_permitted_path(path); };
+  };
+  Path chain;
+  for (int i = 1; i <= 20; ++i) chain.push_back("a" + std::to_string(i));
+  chain.push_back("0");
+  Path looped = chain;
+  looped.insert(looped.end() - 1, "a7");
+
+  EXPECT_EQ(error_of([](SppInstance& i) { i.add_edge("3", "3"); }),
+            "self-loop edge at '3'");
+  EXPECT_EQ(error_of(path_step({"1"})),
+            "permitted path must have at least two nodes");
+  EXPECT_EQ(error_of(path_step({"1", "2"})),
+            "permitted path 1-2 must end at destination '0'");
+  EXPECT_EQ(error_of(path_step({"0", "1", "0"})),
+            "permitted path may not start at the destination");
+  EXPECT_EQ(error_of(path_step({"1", "2", "1", "0"})),
+            "permitted path 1-2-1-0 is not simple");
+  EXPECT_EQ(error_of(path_step(looped)),
+            "permitted path a1-a2-a3-a4-a5-a6-a7-a8-a9-a10-a11-a12-a13-a14-"
+            "a15-a16-a17-a18-a19-a20-a7-0 is not simple");
+  EXPECT_EQ(error_of(path_step({"2", "0"})),
+            "permitted path 2-0 uses undeclared edge 2-0");
+  EXPECT_EQ(error_of(path_step({"2", "1", "a1", "0"})),
+            "permitted path 2-1-a1-0 uses undeclared edge 1-a1");
+  EXPECT_EQ(error_of(path_step(chain)), "accepted");
 }
 
 TEST(SppInstance, RankOfReflectsInsertionOrder) {
@@ -263,12 +316,83 @@ TEST(Translate, GoodGadgetChainScales) {
   EXPECT_EQ(a->symbolic().signatures.size(), 4u * 6u);
 }
 
+// ------------------------------------------------------- gadget names --
+
+TEST(GadgetNames, ChainCountsAreCappedBeforeBuilding) {
+  EXPECT_EQ(gadget_by_name("bad-chain-256").nodes().size(), 3u * 256u);
+  EXPECT_EQ(gadget_by_name("good-chain-007").nodes().size(), 3u * 7u);
+  const auto error_of = [](const std::string& name) -> std::string {
+    try {
+      gadget_by_name(name);
+    } catch (const InvalidArgument& error) {
+      return error.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(error_of("bad-chain-257"),
+            "gadget 'bad-chain-257' is too large: a chain has at most 256 "
+            "gadgets");
+  // Far past the ceiling, including past every integer type: no wrap.
+  for (const char* name :
+       {"good-chain-65536", "bad-chain-4294967297",
+        "bad-chain-99999999999999999999999999"}) {
+    EXPECT_NE(error_of(name).find("is too large"), std::string::npos) << name;
+  }
+  for (const char* name : {"bad-chain-0", "bad-chain-", "bad-chain--1",
+                           "bad-chain-+4", "bad-chain-4x", "bad-chain- 4"}) {
+    EXPECT_EQ(error_of(name),
+              "unknown gadget '" + std::string(name) +
+                  "' (try --list-gadgets)");
+  }
+  // The builders the benches and tests call directly stay uncapped.
+  EXPECT_EQ(bad_gadget_chain(k_max_chain_gadgets + 1).nodes().size(),
+            3u * 257u);
+}
+
 // ------------------------------------------------- canonical and random --
 
 TEST(Canonical, IgnoresNameButNotContent) {
   SppInstance renamed = good_gadget();
   EXPECT_EQ(canonical_spp(good_gadget()), canonical_spp(renamed));
   EXPECT_NE(canonical_spp(good_gadget()), canonical_spp(bad_gadget()));
+}
+
+/// The canonical form as it was first written: `+` temporaries and
+/// path_name per path.
+std::string reference_canonical(const SppInstance& instance) {
+  std::string out = "dest=" + instance.destination() + ";edges=";
+  for (const auto& [u, v] : instance.edges()) {
+    out += u + "~" + v + ",";
+  }
+  out += ";paths=";
+  for (const std::string& node : instance.nodes()) {
+    out += node + ":";
+    for (const Path& path : instance.permitted(node)) {
+      out += path_name(path) + ",";
+    }
+    out += ";";
+  }
+  return out;
+}
+
+TEST(Canonical, MatchesTheReferenceOnGadgetsAndRandomInstances) {
+  std::vector<SppInstance> instances = {good_gadget(), bad_gadget(),
+                                        disagree_gadget(),
+                                        ibgp_figure3_gadget(),
+                                        ibgp_figure3_fixed()};
+  for (const int length : {1, 2, 4, 8, 16}) {
+    instances.push_back(good_gadget_chain(length));
+    instances.push_back(bad_gadget_chain(length));
+  }
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    RandomSppShape shape;
+    shape.min_nodes = shape.max_nodes = 3 + static_cast<int>(seed % 12);
+    instances.push_back(random_spp_instance("r", seed, shape));
+  }
+  for (const SppInstance& instance : instances) {
+    EXPECT_EQ(canonical_spp(instance), reference_canonical(instance))
+        << instance.name();
+  }
 }
 
 TEST(RandomSpp, DeterministicValidInstances) {

@@ -12,10 +12,11 @@ Proves the transport acceptance properties of docs/WIRE.md ("Transport"):
   * the stdin contract per connection — dense ids, blank lines skipped,
     in-band errors;
   * hostile input stays in-band — a 9th client sends a 30k-deep JSON
-    line, a duplicate-key line, and four `random` payloads with bad knobs
-    alongside the 8: each gets exactly one
-    error response, its next line is still answered, and the other
-    clients' bytes are unaffected;
+    line, a duplicate-key line, four `random` payloads with bad knobs, a
+    chain gadget past the cap, and three lines of invalid UTF-8 or a
+    surrogate escape alongside the 8: each gets exactly one error response
+    that is itself valid JSON, its next line is still answered, and the
+    other clients' bytes are unaffected;
   * graceful drain — SIGTERM makes the server answer everything already
     received, flush, close cleanly, and exit 0.
 
@@ -24,6 +25,7 @@ own stdin-mode reference, so the release and sanitizer CI jobs can run
 the same file against different build trees.
 """
 
+import json
 import signal
 import socket
 import subprocess
@@ -47,16 +49,23 @@ REQUESTS = [
 STREAM = "".join(line + "\n" for line in REQUESTS).encode()
 
 HOSTILE = [
-    "[" * 30000,  # would overflow a recursive parser's stack
-    '{"kind": "ground-truth", "gadget": "bad", "gadget": "good"}',
+    b"[" * 30000,  # would overflow a recursive parser's stack
+    b'{"kind": "ground-truth", "gadget": "bad", "gadget": "good"}',
     # bad `random` knobs: rejected before generation, never wrapped
-    '{"kind": "ground-truth", "random": {"seed": 1, "min_nodes": 9, "max_nodes": 3}}',
-    '{"kind": "ground-truth", "random": {"seed": 1, "max_nodes": 5000000000}}',
-    '{"kind": "ground-truth", "random": {"seed": 1, "paths_per_node": 65}}',
-    '{"kind": "ground-truth", "random": {"seed": 1, "max_path_length": 257}}',
-    '{"kind": "ground-truth", "gadget": "good"}',  # still answered
+    b'{"kind": "ground-truth", "random": {"seed": 1, "min_nodes": 9, "max_nodes": 3}}',
+    b'{"kind": "ground-truth", "random": {"seed": 1, "max_nodes": 5000000000}}',
+    b'{"kind": "ground-truth", "random": {"seed": 1, "paths_per_node": 65}}',
+    b'{"kind": "ground-truth", "random": {"seed": 1, "max_path_length": 257}}',
+    # a chain gadget past the cap: rejected before it is built
+    b'{"kind": "analyze-safety", "gadget": "bad-chain-65536"}',
+    # invalid UTF-8 inside a string, a stray byte outside one, and a lone
+    # surrogate escape: never echoed back raw
+    b'{"kind": "ground-truth", "gadget": "bad\xff\xfe"}',
+    b'\xff{"kind": "ground-truth", "gadget": "good"}',
+    b'{"kind": "ground-truth", "gadget": "\\ud800"}',
+    b'{"kind": "ground-truth", "gadget": "good"}',  # still answered
 ]
-HOSTILE_STREAM = "".join(line + "\n" for line in HOSTILE).encode()
+HOSTILE_STREAM = b"".join(line + b"\n" for line in HOSTILE)
 HOSTILE_ERRORS = [
     b'"error": "line 1: json: nesting deeper than 64 levels at byte 64"',
     b'"error": "line 2: json: duplicate object key \'gadget\' at byte 50"',
@@ -64,6 +73,12 @@ HOSTILE_ERRORS = [
     b'"error": "line 4: max_nodes must be <= 256"',
     b'"error": "line 5: paths_per_node must be <= 64"',
     b'"error": "line 6: max_path_length must be <= 256"',
+    b'"error": "line 7: gadget \'bad-chain-65536\' is too large: a chain has '
+    b'at most 256 gadgets"',
+    b'"error": "line 8: json: invalid UTF-8 in string at byte 39"',
+    b'"error": "line 9: json: unexpected character 0xff at byte 0"',
+    b'"error": "line 10: json: \\\\u escape names a UTF-16 surrogate at '
+    b'byte 42"',
 ]
 
 
@@ -141,10 +156,12 @@ def client(port: int, unix_path: str, index: int, replies: list,
 
 
 def check_hostile(payload: bytes):
-    """One response per hostile line, each the expected in-band error, and
-    the line after them answered normally."""
+    """One response per hostile line, each the expected in-band error and
+    valid JSON, and the line after them answered normally."""
     lines = payload.splitlines()
     assert len(lines) == len(HOSTILE), lines
+    for line in lines:
+        json.loads(line.decode("utf-8"))
     for line, error in zip(lines, HOSTILE_ERRORS):
         assert error in line, line
     assert b'"ground_truth": {"decided": true' in lines[-1], lines[-1]
